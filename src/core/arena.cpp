@@ -1,6 +1,9 @@
 #include "core/arena.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <new>
 #include <stdexcept>
 
@@ -81,6 +84,10 @@ void Arena::add_segment_locked(std::size_t bytes) {
   insert_free_locked(aligned, usable - kHeaderSize);
 }
 
+const std::byte* Arena::end_of(const FreeBlock* blk) {
+  return reinterpret_cast<const std::byte*>(blk) + kHeaderSize + blk->size;
+}
+
 void Arena::insert_free_locked(std::byte* region, std::size_t payload) {
   // The free region is laid out as [header space][payload]; we thread the
   // FreeBlock through the header space, keeping the list address-ordered
@@ -99,9 +106,6 @@ void Arena::insert_free_locked(std::byte* region, std::size_t payload) {
 
   // Coalesce blk with its successor, then the predecessor with blk. An
   // absorbed neighbour's header becomes free-payload interior: poison it.
-  auto end_of = [](FreeBlock* b) {
-    return reinterpret_cast<std::byte*>(b) + kHeaderSize + b->size;
-  };
   if (blk->next != nullptr &&
       end_of(blk) == reinterpret_cast<std::byte*>(blk->next)) {
     FreeBlock* absorbed = blk->next;
@@ -120,43 +124,101 @@ void Arena::insert_free_locked(std::byte* region, std::size_t payload) {
   }
 }
 
+void Arena::flush_bins_locked() {
+  // One sort by address over every free block, then one pass that relinks
+  // them as the list and coalesces neighbours. Inserting the binned blocks
+  // one by one would walk the list once each: quadratic in the tens of
+  // thousands of blocks the bins can hold. Nothing changes until the
+  // vector is built, so a bad_alloc from it leaves the arena intact.
+  std::vector<FreeBlock*> blocks;
+  blocks.reserve(binned_);
+  for (FreeBlock* blk = free_head_; blk != nullptr; blk = blk->next) {
+    blocks.push_back(blk);
+  }
+  for (FreeBlock* bin : bins_) {
+    for (FreeBlock* blk = bin; blk != nullptr; blk = blk->next) {
+      blocks.push_back(blk);
+    }
+  }
+  std::sort(blocks.begin(), blocks.end(), std::less<>());
+  bins_.fill(nullptr);
+  binned_ = 0;
+
+  FreeBlock** link = &free_head_;
+  FreeBlock* last = nullptr;
+  for (FreeBlock* blk : blocks) {
+    if (last != nullptr && end_of(last) == reinterpret_cast<std::byte*>(blk)) {
+      last->size += kHeaderSize + blk->size;
+      poison_region(blk, kHeaderSize);
+    } else {
+      *link = blk;
+      link = &blk->next;
+      last = blk;
+    }
+  }
+  *link = nullptr;
+}
+
+void* Arena::grant_locked(std::byte* base, std::size_t granted) {
+  auto* hdr = reinterpret_cast<BlockHeader*>(base);
+  hdr->size = granted;
+  hdr->magic = kMagicAllocated;
+  allocated_ += granted;
+  return base + kHeaderSize;
+}
+
+void* Arena::take_from_list_locked(std::size_t payload) {
+  for (FreeBlock** cursor = &free_head_; *cursor != nullptr;
+       cursor = &(*cursor)->next) {
+    FreeBlock* blk = *cursor;
+    const std::size_t free_size = blk->size;
+    if (free_size < payload) continue;
+    FreeBlock* next = blk->next;
+    std::byte* base = reinterpret_cast<std::byte*>(blk);
+    // Unpoison the whole free payload before split surgery (the split
+    // tail's header is written inside it); the tail payload is re-poisoned
+    // after.
+    unpoison_region(base + kHeaderSize, free_size);
+    std::size_t granted = free_size;
+    if (free_size - payload >= kHeaderSize + kMinPayload) {
+      // Split: tail of the block stays free.
+      auto* tail = reinterpret_cast<FreeBlock*>(base + kHeaderSize + payload);
+      tail->size = free_size - payload - kHeaderSize;
+      tail->next = next;
+      poison_region(reinterpret_cast<std::byte*>(tail) + kHeaderSize,
+                    tail->size);
+      next = tail;
+      granted = payload;
+    }
+    *cursor = next;
+    return grant_locked(base, granted);
+  }
+  return nullptr;
+}
+
 void* Arena::alloc(std::size_t size) {
+  // Rounding such a size up to kAlignment would wrap to 0 and hand out a
+  // zero-byte block overlapping a free header; no arena can hold it.
+  if (size > std::numeric_limits<std::size_t>::max() - (kAlignment - 1)) {
+    throw std::bad_alloc();
+  }
   const std::size_t payload = round_up(std::max(size, kMinPayload), kAlignment);
   std::lock_guard<std::mutex> lk(mu_);
 
-  FreeBlock** cursor = &free_head_;
-  while (*cursor != nullptr) {
-    FreeBlock* blk = *cursor;
-    if (blk->size >= payload) {
-      const std::size_t remainder = blk->size - payload;
-      FreeBlock* next = blk->next;
-      std::byte* base = reinterpret_cast<std::byte*>(blk);
-      // Unpoison the whole free payload before split surgery (the split
-      // tail's header is written inside it); the tail payload is
-      // re-poisoned after.
-      unpoison_region(base + kHeaderSize, blk->size);
-      if (remainder >= kHeaderSize + kMinPayload) {
-        // Split: tail of the block stays free.
-        std::byte* tail = base + kHeaderSize + payload;
-        auto* tail_blk = reinterpret_cast<FreeBlock*>(tail);
-        tail_blk->size = remainder - kHeaderSize;
-        tail_blk->next = next;
-        *cursor = tail_blk;
-        blk->size = payload;
-        poison_region(tail + kHeaderSize, tail_blk->size);
-      } else {
-        *cursor = next;
-      }
-      // FreeBlock and BlockHeader overlay the same header space (size is
-      // the first member of both); blk->size now holds the granted payload.
-      const std::size_t granted = blk->size;
-      auto* hdr = reinterpret_cast<BlockHeader*>(base);
-      hdr->size = granted;
-      hdr->magic = kMagicAllocated;
-      allocated_ += granted;
-      return base + kHeaderSize;
+  if (payload <= kMaxBinnedPayload) {
+    FreeBlock*& bin = bins_[bin_index(payload)];
+    if (bin != nullptr) {
+      std::byte* base = reinterpret_cast<std::byte*>(bin);
+      bin = bin->next;
+      --binned_;
+      unpoison_region(base + kHeaderSize, payload);
+      return grant_locked(base, payload);
     }
-    cursor = &blk->next;
+  }
+  if (void* block = take_from_list_locked(payload)) return block;
+  if (binned_ != 0) {
+    flush_bins_locked();
+    if (void* block = take_from_list_locked(payload)) return block;
   }
   throw std::bad_alloc();
 }
@@ -172,8 +234,19 @@ void Arena::free(void* ptr) {
                                   : "free of a pointer not from this view");
   }
   hdr->magic = kMagicFreed;
-  allocated_ -= hdr->size;
-  insert_free_locked(base, hdr->size);
+  const std::size_t size = hdr->size;
+  allocated_ -= size;
+  if (size > kMaxBinnedPayload) {
+    insert_free_locked(base, size);
+    return;
+  }
+  poison_region(base + kHeaderSize, size);
+  FreeBlock*& bin = bins_[bin_index(size)];
+  auto* blk = reinterpret_cast<FreeBlock*>(base);
+  blk->size = size;
+  blk->next = bin;
+  bin = blk;
+  ++binned_;
 }
 
 void Arena::extend(std::size_t bytes) {

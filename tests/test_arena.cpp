@@ -1,9 +1,16 @@
 // Unit tests for the per-view arena allocator: alignment, reuse,
-// coalescing, double-free detection, extension (brk_view), exhaustion.
+// coalescing, bin flushes, double-free detection, extension (brk_view),
+// exhaustion, and a multi-thread stress test (ctest -L stress runs this
+// file, also under TSan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -11,6 +18,16 @@
 
 namespace votm::core {
 namespace {
+
+// Allocates `size`-byte blocks until the arena throws bad_alloc.
+std::vector<void*> fill_until_exhausted(Arena& arena, std::size_t size) {
+  std::vector<void*> blocks;
+  try {
+    for (;;) blocks.push_back(arena.alloc(size));
+  } catch (const std::bad_alloc&) {
+  }
+  return blocks;
+}
 
 TEST(Arena, AllocationsAreAligned) {
   Arena arena(1 << 16);
@@ -70,6 +87,11 @@ TEST(Arena, AllocatedAccounting) {
 TEST(Arena, ThrowsOnExhaustion) {
   Arena arena(1024);
   EXPECT_THROW(arena.alloc(1 << 20), std::bad_alloc);
+  // Sizes whose round-up to kAlignment would wrap past SIZE_MAX.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(arena.alloc(kMax), std::bad_alloc);
+  EXPECT_THROW(arena.alloc(kMax - 7), std::bad_alloc);
+  EXPECT_EQ(arena.allocated(), 0u);
 }
 
 TEST(Arena, ExtendAddsCapacity) {
@@ -144,6 +166,91 @@ TEST(Arena, ManySmallBlocksFillCapacityReasonably) {
   // 16-byte payload + 16-byte header = 32 bytes per block; expect at least
   // 80% utilisation of the 64 KiB segment.
   EXPECT_GE(count, (std::size_t{1} << 16) / 32 * 8 / 10);
+}
+
+TEST(Arena, FlushCoalescesBinnedBlocks) {
+  // Every freed 16-byte block waits in one bin; only a flush that merges
+  // them back into the list can serve a request for nearly the whole arena.
+  Arena arena(1 << 16);
+  for (void* b : fill_until_exhausted(arena, 16)) arena.free(b);
+  EXPECT_EQ(arena.allocated(), 0u);
+  EXPECT_NO_THROW(arena.alloc(arena.capacity() - 64));
+}
+
+TEST(Arena, FreedBinRefillsAnotherSize) {
+  // Space freed as 48-byte blocks must serve 16-byte requests as well as a
+  // fresh arena does (ManySmallBlocksFillCapacityReasonably's 80% rule).
+  Arena arena(1 << 16);
+  for (void* b : fill_until_exhausted(arena, 48)) arena.free(b);
+  EXPECT_GE(fill_until_exhausted(arena, 16).size(),
+            (std::size_t{1} << 16) / 32 * 8 / 10);
+  // The flush emptied the 48-byte bin into the list and the 16-byte blocks
+  // now cover it, so no 48-byte block may come back.
+  EXPECT_THROW(arena.alloc(48), std::bad_alloc);
+}
+
+TEST(Arena, ConcurrentMixedSizesStayDisjoint) {
+  // Four threads share one small arena through binned sizes (up to 2 KiB)
+  // and list sizes above that. Each thread's binned sizes drift through
+  // four 512-byte bands, so the bins fill with sizes no longer asked for,
+  // the list runs dry and alloc flushes mid-run, under contention. Each
+  // block carries its own fill byte, checked before the block is freed, so
+  // an overlap or an early reuse shows up as a mismatch. At most 4 x 8
+  // blocks of under 3.2 KiB are live, so after a flush the 256 KiB arena
+  // always has a free gap that fits the next request.
+  constexpr int kThreads = 4;
+  constexpr int kSteps = 10000;
+  constexpr std::size_t kMaxLive = 8;
+  Arena arena(std::size_t{256} << 10);
+  // A worker stops at its first failure and records it here.
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&arena, &errors, t] {
+      struct Block {
+        unsigned char* p;
+        std::size_t size;
+        unsigned char fill;
+      };
+      Xoshiro256 rng(1000 + static_cast<std::uint64_t>(t));
+      std::vector<Block> live;
+      auto release = [&arena](const Block& b) {
+        if (std::any_of(b.p, b.p + b.size,
+                        [&b](unsigned char c) { return c != b.fill; })) {
+          throw std::runtime_error("a live block lost its fill byte");
+        }
+        arena.free(b.p);
+      };
+      try {
+        for (int step = 0; step < kSteps; ++step) {
+          if (live.empty() || (live.size() < kMaxLive && rng.chance(1, 2))) {
+            const auto band = static_cast<std::size_t>(step / 1000 + t) % 4;
+            const std::size_t size = rng.chance(1, 8)
+                                         ? 2049 + rng.below(1024)
+                                         : band * 512 + 1 + rng.below(512);
+            const auto fill = static_cast<unsigned char>(t * 64 + step % 64);
+            auto* p = static_cast<unsigned char*>(arena.alloc(size));
+            std::memset(p, fill, size);
+            live.push_back({p, size, fill});
+          } else {
+            const auto idx = static_cast<std::size_t>(rng.below(live.size()));
+            release(live[idx]);
+            live[idx] = live.back();
+            live.pop_back();
+          }
+        }
+        for (const Block& b : live) release(b);
+      } catch (const std::exception& e) {
+        errors[static_cast<std::size_t>(t)] = e.what();
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(errors[static_cast<std::size_t>(t)], "") << "thread " << t;
+  }
+  EXPECT_EQ(arena.allocated(), 0u);
+  EXPECT_NO_THROW(arena.alloc(arena.capacity() - 64));
 }
 
 }  // namespace
