@@ -19,11 +19,10 @@
 // final bucket count (dynamic cells must end above the minimum, or the
 // run measured nothing).
 //
-// Methodology follows bench/micro_mvcc.cpp: throughput is ops per
-// worker CPU-second (CLOCK_THREAD_CPUTIME_ID, summed across workers),
-// fixed/dynamic variants are interleaved inside each repeat so host
-// drift lands on both equally, and the best repeat per variant is
-// reported. Results go to stdout and BENCH_reclaim.json (checked in as
+// Methodology: throughput is ops per worker CPU-second
+// (CLOCK_THREAD_CPUTIME_ID, summed across workers), fixed/dynamic
+// variants are interleaved inside each repeat so host drift lands on
+// both equally, and the best repeat per variant is reported. Results go to stdout and BENCH_reclaim.json (checked in as
 // the trajectory baseline, validated by scripts/check_bench_json.py).
 #include <ctime>
 
@@ -73,7 +72,6 @@ struct Params {
   Word key_space;
   std::size_t reclaim_threshold;
   unsigned repeats;
-  bool mvcc;
 };
 
 CellResult run_cell(stm::Algo algo, bool dynamic, unsigned threads,
@@ -85,7 +83,6 @@ CellResult run_cell(stm::Algo algo, bool dynamic, unsigned threads,
   vc.fixed_quota = threads;
   vc.initial_bytes = std::size_t{1} << 22;
   vc.reclaim_threshold = p.reclaim_threshold;
-  vc.engine.mvcc = p.mvcc;
   core::View view(vc);
   // Fixed: pre-sized to the key space, the pre-PR shape (chains stay
   // short, growth never fires). Dynamic: the minimum, grown under load.
@@ -169,11 +166,11 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
       buf, sizeof buf,
       "  \"hardware_concurrency\": %u,\n  \"ops_per_thread\": %llu,\n"
       "  \"key_space\": %llu,\n  \"reclaim_threshold\": %zu,\n"
-      "  \"mvcc\": %s,\n  \"repeats\": %u,\n  \"results\": [\n",
+      "  \"repeats\": %u,\n  \"results\": [\n",
       std::thread::hardware_concurrency(),
       static_cast<unsigned long long>(p.ops_per_thread),
       static_cast<unsigned long long>(p.key_space), p.reclaim_threshold,
-      p.mvcc ? "true" : "false", p.repeats);
+      p.repeats);
   out << buf;
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const CellResult& r = rs[i];
@@ -226,8 +223,6 @@ int main(int argc, char** argv) {
       .flag("reclaim-threshold", "64",
             "limbo depth that triggers an amortized reclaim pass "
             "(ViewConfig::reclaim_threshold)")
-      .flag("mvcc", "1", "run with the MVCC-lite versioned read path on "
-                         "(pinned snapshots are the hard reclaim case)")
       .flag("repeats", "5", "runs per cell; best throughput reported")
       .flag("engines", "oer,norec",
             "comma list: oer (OrecEagerRedo), lazy, undo, norec")
@@ -246,7 +241,6 @@ int main(int argc, char** argv) {
       std::max<std::int64_t>(2, flags.i64("key-space")));
   p.reclaim_threshold =
       static_cast<std::size_t>(std::max<std::int64_t>(0, flags.i64("reclaim-threshold")));
-  p.mvcc = flags.boolean("mvcc");
   p.repeats =
       static_cast<unsigned>(std::max<std::int64_t>(1, flags.i64("repeats")));
   if (flags.boolean("smoke")) {

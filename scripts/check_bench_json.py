@@ -32,7 +32,6 @@ REQUIRED_BASELINES = [
     "BENCH_cm.json",
     "BENCH_escalation.json",
     "BENCH_granularity.json",
-    "BENCH_mvcc.json",
     "BENCH_reclaim.json",
     "BENCH_robustness.json",
     "BENCH_validation.json",

@@ -57,16 +57,12 @@ enum class FaultSite : unsigned {
                               // read of a committed version is forced
                               // through the extension/refresh scan, and
                               // the system must stay opaque throughout
-  // --- MVCC version rings (availability: evicted/lapped retained entry) ----
-  kMvccRingLap,               // ring lookup/reconstruct misses as if lapped;
-                              // the reader must fall back (extend or
-                              // conflict) and the system stays correct
-  // --- epoch reclamation (availability: stale quiescence horizon) ----------
+  // --- epoch reclamation (availability: stale grace-period horizon) --------
   kEpochStaleHorizon,         // the horizon read returns a maximally stale
-                              // bound: ring recycling loses its steering and
-                              // reclaim passes defer every limbo block; the
-                              // system must stay correct (nothing is freed
-                              // early) and drain once the fault lifts
+                              // bound: reclaim passes defer every limbo
+                              // block; the system must stay correct
+                              // (nothing is freed early) and drain once the
+                              // fault lifts
   // --- admission controller ------------------------------------------------
   kAdmitCasFail,              // admission CAS spuriously loses its race
   kAdmLostNotify,             // leave_wake drops its condvar notify
@@ -103,7 +99,6 @@ inline const char* to_string(FaultSite s) noexcept {
     case FaultSite::kOrecEagerUndoCommitTail: return "oeu.commit-tail";
     case FaultSite::kGv4ClockCasLost: return "clock.gv4-cas-lost";
     case FaultSite::kGv6ShardLag: return "clock.gv6-shard-lag";
-    case FaultSite::kMvccRingLap: return "mvcc.ring-lap";
     case FaultSite::kEpochStaleHorizon: return "epoch.stale-horizon";
     case FaultSite::kAdmitCasFail: return "adm.cas-fail";
     case FaultSite::kAdmLostNotify: return "adm.lost-notify";

@@ -102,7 +102,6 @@ std::string StmRandomScenario::name() const {
   if (cfg_.clock_policy != stm::ClockPolicy::kGv1) {
     os << "/" << stm::to_string(cfg_.clock_policy);
   }
-  if (cfg_.mvcc) os << "+mvcc";
   if (cfg_.orec_granularity_shift != stm::OrecTable::kDefaultGranularityShift) {
     os << "+g" << cfg_.orec_granularity_shift;
   }
@@ -120,7 +119,6 @@ std::string StmRandomScenario::name() const {
 Scenario::Outcome StmRandomScenario::run_once(const SchedOptions& opts) {
   stm::EngineConfig engine_cfg;
   engine_cfg.clock_policy = cfg_.clock_policy;
-  engine_cfg.mvcc = cfg_.mvcc;
   engine_cfg.orec_granularity_shift = cfg_.orec_granularity_shift;
   engine_cfg.orec_layout = cfg_.orec_layout;
   engine_cfg.contention_mode = cfg_.contention_mode;
@@ -206,7 +204,6 @@ std::string StmSnapshotScenario::name() const {
   if (cfg_.clock_policy != stm::ClockPolicy::kGv1) {
     os << "/" << stm::to_string(cfg_.clock_policy);
   }
-  if (cfg_.mvcc) os << "+mvcc";
   if (cfg_.orec_granularity_shift != stm::OrecTable::kDefaultGranularityShift) {
     os << "+g" << cfg_.orec_granularity_shift;
   }
@@ -220,7 +217,6 @@ Scenario::Outcome StmSnapshotScenario::run_once(const SchedOptions& opts) {
   const unsigned n = cfg_.writers + 1;
   stm::EngineConfig engine_cfg;
   engine_cfg.clock_policy = cfg_.clock_policy;
-  engine_cfg.mvcc = cfg_.mvcc;
   engine_cfg.orec_granularity_shift = cfg_.orec_granularity_shift;
   engine_cfg.orec_layout = cfg_.orec_layout;
   auto engine = stm::make_engine(cfg_.algo, engine_cfg);
@@ -504,7 +500,6 @@ std::string ReclaimRaceScenario::name() const {
   if (cfg_.clock_policy != stm::ClockPolicy::kGv1) {
     os << "/" << stm::to_string(cfg_.clock_policy);
   }
-  if (cfg_.mvcc) os << "+mvcc";
   return os.str();
 }
 
@@ -516,7 +511,6 @@ Scenario::Outcome ReclaimRaceScenario::run_once(const SchedOptions& opts) {
   vc.fixed_quota = cfg_.readers + 1;  // everyone runs; the race is the point
   vc.initial_bytes = 1 << 16;
   vc.engine.clock_policy = cfg_.clock_policy;
-  vc.engine.mvcc = cfg_.mvcc;
   vc.reclaim_threshold = 1;  // every exit with limbo non-empty runs a pass
   core::View view(vc);
 

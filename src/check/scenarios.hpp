@@ -54,11 +54,6 @@ struct StmRandomConfig {
   // NOrec/TML/CGL. Named in the scenario string when not GV1, so repro
   // lines stay complete.
   stm::ClockPolicy clock_policy = stm::ClockPolicy::kGv1;
-  // MVCC-lite versioned read path (stm/mvcc.hpp). Engines are constructed
-  // through the factory here, so the scenario must pin the knob explicitly
-  // to keep the explored state machine independent of the VOTM_MVCC build
-  // default. Named in the scenario string when on.
-  bool mvcc = false;
   // Orec-table granularity/layout (orec engines; ignored elsewhere).
   // Coarse granularity makes distinct variables share stripes, so the
   // explored conflict graph changes shape — named in the scenario string
@@ -105,7 +100,6 @@ struct StmSnapshotConfig {
   unsigned reads_per_reader = 2;   // read-only transactions by thread 0
   unsigned txs_per_writer = 2;
   stm::ClockPolicy clock_policy = stm::ClockPolicy::kGv1;
-  bool mvcc = false;  // see StmRandomConfig::mvcc
   // See StmRandomConfig — same knobs, same naming convention.
   unsigned orec_granularity_shift = stm::OrecTable::kDefaultGranularityShift;
   stm::OrecLayout orec_layout = stm::OrecLayout::kPadded;
@@ -216,7 +210,6 @@ struct ReclaimRaceConfig {
   unsigned reads_per_reader = 3;
   unsigned list_len = 3;     // nodes in the initial list
   stm::ClockPolicy clock_policy = stm::ClockPolicy::kGv1;
-  bool mvcc = false;         // see StmRandomConfig::mvcc
 };
 
 class ReclaimRaceScenario final : public Scenario {

@@ -64,7 +64,6 @@ enum class SchedPointId : std::uint8_t {
   kStmClockShardScan,   // GV6: before a reader's max-over-shards scan
                         // (bound refresh); writers race their shard
                         // CAS-maxes around it
-  kStmMvccRead,         // before an MVCC ring lookup / snapshot reconstruct
   kStmRollback,         // rollback entry, before undo/unlock
   kEpochAdvance,        // before a reclaim pass takes the limbo lock and
                         // advances the grace-period era (stm/epoch.hpp)
@@ -112,7 +111,6 @@ inline const char* to_string(SchedPointId id) noexcept {
     case SchedPointId::kStmCommitWriteback: return "stm.commit-writeback";
     case SchedPointId::kStmClockTick: return "stm.clock-tick";
     case SchedPointId::kStmClockShardScan: return "stm.clock-shard-scan";
-    case SchedPointId::kStmMvccRead: return "stm.mvcc-read";
     case SchedPointId::kStmRollback: return "stm.rollback";
     case SchedPointId::kEpochAdvance: return "epoch.advance";
     case SchedPointId::kEpochPinWait: return "epoch.pin-wait";

@@ -6,10 +6,9 @@
 // all); it now runs under View::run_read, which both makes the whole
 // operation one consistent read-only snapshot and carries the RO hint to
 // the engines, whose commit fast path then does zero version-clock
-// traffic and no write-set reset. With MVCC-lite on (the default; see
-// ViewConfig::engine.mvcc and DESIGN.md §16), a walk that observes a
-// concurrent writer commit is served the retained version at its
-// snapshot instead of aborting — long container scans stop starving.
+// traffic and no write-set reset. A walk that observes a concurrent
+// writer commit extends its snapshot when nothing it read has changed,
+// and otherwise conflicts and re-runs.
 #pragma once
 
 #include "core/thread_ctx.hpp"

@@ -15,8 +15,8 @@
 // and a concurrent walk either sees the old table consistently or conflicts.
 // The old table block is freed transactionally, which retires it through
 // the view's grace-period layer (stm/epoch.hpp): readers still walking it
-// (including doomed ones, and MVCC read-only snapshots pinned in the past)
-// keep a valid block until every epoch pin has advanced.
+// (including doomed ones) keep a valid block until every epoch pin has
+// advanced.
 //
 // Growth runs as its OWN transaction, never inside a caller's: an in-
 // transaction put that finds an overlong chain only flags grow_pending_

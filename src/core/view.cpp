@@ -222,9 +222,6 @@ void View::exit(ThreadCtx& tc) {
   tx.last_tx_cycles = stm::tx_elapsed_cycles(tx);
   totals_.add_commit(tx.last_tx_cycles);
   if (config_.collect_latency) commit_latency_.record(tx.last_tx_cycles);
-  // The committing engine stamps the retired blocks (retire_stamp) before
-  // the descriptor is cleared for the next transaction.
-  stm::TxEngine* engine = tx.engine;
   tx.in_tx = false;
   tx.engine = nullptr;
   tx.consecutive_aborts = 0;
@@ -233,7 +230,7 @@ void View::exit(ThreadCtx& tc) {
   tx.cm.end_run();  // victim-choice priority must not leak either (§20)
 
   tc.tx_allocs.clear();
-  apply_deferred_frees(tc, engine);
+  apply_deferred_frees(tc);
   // Unpin only after the frees are retired: the blocks enter the limbo
   // list stamped at an era this pin still holds, so a concurrent reclaim
   // pass cannot free them before this store is visible.
@@ -383,19 +380,16 @@ void View::undo_tx_allocs(ThreadCtx& tc) {
   tc.tx_allocs.clear();
 }
 
-void View::apply_deferred_frees(ThreadCtx& tc, stm::TxEngine* engine) {
+void View::apply_deferred_frees(ThreadCtx& tc) {
   if (tc.tx_frees.empty()) return;
   // Commit-time frees do not return to the arena here: another transaction
   // may have read the block before this commit published (and be doomed
-  // but not yet rolled back), and the MVCC rings may still map versioned
-  // reads into it. Retire to the limbo list instead, stamped with the
-  // committing engine's timestamp; a reclaim pass frees the block once
-  // every pin has advanced past this era and retires the version-ring
-  // entries at or below the stamp first (stm/epoch.hpp, DESIGN.md §17).
-  const std::uint64_t stamp = engine != nullptr ? engine->retire_stamp() : 0;
+  // but not yet rolled back). Retire to the limbo list instead; a reclaim
+  // pass frees the block once every pin has advanced past this era
+  // (stm/epoch.hpp, DESIGN.md §17).
   for (auto& [arena, block] : tc.tx_frees) {
     (void)arena;  // transactional frees are always against this view's arena
-    limbo_.retire(epoch_, block, stamp);
+    limbo_.retire(epoch_, block);
   }
   tc.tx_frees.clear();
 }
@@ -405,26 +399,8 @@ std::size_t View::reclaim_pass(bool force) {
   // peers between the era advance and the frees), so no blockable mutex
   // can be held yet.
   VOTM_SCHED_POINT(kEpochAdvance);
-  ThreadCtx& tc = thread_ctx();
-  const bool in_tx_here = tc.tx.in_tx && tc.active_view == this;
-  std::unique_lock<std::mutex> lk(algo_mu_, std::defer_lock);
-  if (!in_tx_here) {
-    // Pin engine_ against switch_algorithm for the duration of the pass.
-    // Inside a transaction the lock is unnecessary (the switch cannot
-    // drain while this thread is admitted) and taking it would deadlock
-    // against a switcher waiting for that very drain.
-    if (force) {
-      lk.lock();
-    } else if (!lk.try_lock()) {
-      return 0;  // amortized pass: someone is switching, try again later
-    }
-  }
-  stm::TxEngine* engine = engine_.get();
-  return limbo_.reclaim(
-      epoch_, force, [this](void* block) { arena_.free(block); },
-      [engine](std::uint64_t bound) {
-        if (bound != 0) engine->retire_versions_below(bound);
-      });
+  return limbo_.reclaim(epoch_, force,
+                        [this](void* block) { arena_.free(block); });
 }
 
 void View::maybe_reclaim() {

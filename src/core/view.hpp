@@ -101,13 +101,12 @@ class View {
 
   // execute_read that returns the body's value. The read-only hint reaches
   // the engines (tx.read_only), so the transaction takes the RO commit
-  // fast path — zero version-clock traffic and no write-set reset — and,
-  // when the view's engine has MVCC-lite on (ViewConfig::engine.mvcc, the
-  // default under VOTM_MVCC), a slipped writer commit is served from the
-  // retained version rings instead of aborting the walk (DESIGN.md §16).
-  // The containers route their read operations (lookups, size, iteration)
-  // here when called outside a transaction. The body may run several
-  // times (conflict retry); its result is overwritten each attempt.
+  // fast path — zero version-clock traffic and no write-set reset. A
+  // slipped writer commit is handled like any other: extend the snapshot
+  // if the reads still hold, else conflict and re-run. The containers
+  // route their read operations (lookups, size, iteration) here when
+  // called outside a transaction. The body may run several times
+  // (conflict retry); its result is overwritten each attempt.
   template <typename Body>
   auto run_read(Body&& body) {
     using Result = std::invoke_result_t<Body&>;
@@ -281,15 +280,12 @@ class View {
   void abort_for_exception(ThreadCtx& tc);
 
   void undo_tx_allocs(ThreadCtx& tc);
-  // Retires the transaction's deferred frees into the limbo list, stamped
-  // with `engine`'s retire timestamp (the committing engine, captured
-  // before tx.engine is cleared).
-  void apply_deferred_frees(ThreadCtx& tc, stm::TxEngine* engine);
-  // One reclaim pass over the limbo list. Callers not inside a transaction
-  // on this view take algo_mu_ so engine_ cannot be swapped out from under
-  // the version-ring retirement callback; in-transaction callers (the
-  // allocation-pressure path) skip the lock — switch_algorithm cannot
-  // complete its drain while this thread is admitted, so engine_ is stable.
+  // Retires the transaction's deferred frees into the limbo list.
+  void apply_deferred_frees(ThreadCtx& tc);
+  // One reclaim pass over the limbo list. Touches only the limbo list and
+  // the arena — never the engine — so it takes no view lock and is safe
+  // both inside a transaction (the allocation-pressure path) and during
+  // switch_algorithm.
   std::size_t reclaim_pass(bool force);
   void maybe_reclaim();
 

@@ -78,8 +78,11 @@
 //     CASes before the published value, acquire so the committer's
 //     validation bound covers every commit it might race.
 //   * note_commit() publishes to the thread's own padded slot with a
-//     RELEASE store (no RMW — the slot has a single writer). The acquire
-//     side is quiescence_horizon()/last_commit() readers.
+//     RELEASE store (no RMW — the slot has a single writer). Its only
+//     reader is GV5's tick/extension path, which loads it relaxed: the
+//     slot can only raise a timestamp, and the invariant above rests on
+//     the post-lock global load (tick) or the propagation CAS (extension),
+//     never on the slot.
 #pragma once
 
 #include <algorithm>
@@ -137,13 +140,12 @@ class VersionClock {
     bool need_validation;
   };
 
-  // Per-thread quiescence/cache slots. Power of two; threads map by
-  // thread_ordinal() & (kSlots - 1). Ordinals are process-wide and never
-  // reused, so a long-lived process with more than kSlots concurrently
-  // live threads can alias two threads onto one slot: note_commit()'s
-  // monotonic max keeps every published value a real committed timestamp
-  // (safe for both uses below), and the quiescence horizon only gets more
-  // conservative, never ahead of a thread's true last commit.
+  // Per-thread last-commit slots (GV5's thread cache). Power of two;
+  // threads map by thread_ordinal() & (kSlots - 1). Ordinals are
+  // process-wide and never reused, so a long-lived process with more than
+  // kSlots concurrently live threads can alias two threads onto one slot:
+  // note_commit()'s monotonic max keeps every published value a real
+  // committed timestamp, so GV5's max() stays sound.
   static constexpr std::size_t kSlots = 64;
 
   // GV6 clock shards. Power of two; writers map by thread_ordinal() &
@@ -163,7 +165,7 @@ class VersionClock {
   // but GV6, the begin() snapshot). Acquire — see the memory-order
   // contract in the header comment. GV6 has no single clock word; its
   // current value is the fresh max over shards (monotone, and >= the
-  // calling thread's own completed commits — retire_stamp relies on that).
+  // calling thread's own completed commits).
   std::uint64_t read() const noexcept {
     if (policy_ == ClockPolicy::kGv6) return shard_max();
     return clock_.value.load(std::memory_order_acquire);
@@ -252,70 +254,16 @@ class VersionClock {
     return std::max(now, observed);
   }
 
-  // Publishes `end_time` to the calling thread's padded quiescence slot:
-  // "this thread's last commit is fully visible through timestamp
-  // end_time". Called by the engines after the unlock sweep. Monotonic
-  // load + release store, no RMW — the GV1 path stays free of extra
-  // atomic RMWs (inertness), and the slot doubles as GV5's thread cache.
+  // Publishes `end_time` to the calling thread's padded slot: "this
+  // thread's last commit is fully visible through timestamp end_time".
+  // Called by the engines after the unlock sweep. Monotonic load + store,
+  // no RMW — the GV1 path stays free of extra atomic RMWs. GV5 reads the
+  // slot back as its thread cache (tick_gv5, extension_bound).
   void note_commit(std::uint64_t end_time) noexcept {
     std::atomic<std::uint64_t>& slot = slots_[slot_index()].value;
     if (slot.load(std::memory_order_relaxed) < end_time) {
       slot.store(end_time, std::memory_order_release);
     }
-  }
-
-  // Begin-snapshot bound for MVCC-lite read-only transactions: a snapshot
-  // s such that every commit COMPLETED (returned from commit()) before
-  // this call has end_time <= s. A versioned read below that line would
-  // time-travel behind a transaction the caller already happened-after —
-  // a real-time-order (opacity) violation the check oracle catches.
-  // GV1/GV4 derive every end_time from the global clock word itself, so
-  // read() already dominates all completed commits. GV5 commits run ahead
-  // of the clock; the per-thread note_commit() slots are the only record,
-  // so take their max and legalize it as a snapshot via the
-  // extension_bound() propagation CAS (publishing committed timestamps is
-  // always allowed, and the CAS provides the happens-after edge the clock
-  // invariant needs — a raw slot max would not).
-  std::uint64_t completed_commit_bound() noexcept {
-    if (policy_ == ClockPolicy::kGv6) {
-      // tick_gv6 CAS-maxes the committer's shard to end_time BEFORE the
-      // ticket returns, so a commit that completed before this call is
-      // covered by its shard and a fresh scan dominates it (the caller's
-      // happens-after edge to the completed commit orders the CAS before
-      // these loads). Refreshing the cached begin bound on the way is
-      // free — the scan is the expensive part.
-      return refresh_gv6_bound(0);
-    }
-    if (policy_ != ClockPolicy::kGv5) return read();
-    std::uint64_t latest = 0;
-    for (const auto& s : slots_) {
-      latest = std::max(latest, s.value.load(std::memory_order_acquire));
-    }
-    return extension_bound(latest);
-  }
-
-  // --- quiescence introspection (the core/arena privatization hook) -----
-
-  std::uint64_t last_commit(std::size_t slot) const noexcept {
-    return slots_[slot & (kSlots - 1)].value.load(std::memory_order_acquire);
-  }
-
-  // Minimum over all slots that have ever published: every thread that has
-  // committed here has made all commits with end_time <= horizon fully
-  // visible. Slots that never committed (0) do not hold the horizon back;
-  // a quiescence protocol that must also wait out in-flight readers needs
-  // the engines' start_time accounting on top of this.
-  std::uint64_t quiescence_horizon() const noexcept {
-    std::uint64_t horizon = ~std::uint64_t{0};
-    bool any = false;
-    for (const auto& s : slots_) {
-      const std::uint64_t v = s.value.load(std::memory_order_acquire);
-      if (v != 0) {
-        horizon = std::min(horizon, v);
-        any = true;
-      }
-    }
-    return any ? horizon : 0;
   }
 
  private:
@@ -363,8 +311,7 @@ class VersionClock {
     const std::uint64_t end = std::max(seen, start_time) + 1;
     // Publish into our own shard BEFORE the ticket returns — an orec can
     // only ever carry a version some shard has already reached, which is
-    // what makes extension_bound() >= observed (retry termination) and
-    // completed_commit_bound() a true completed-commit dominator.
+    // what makes extension_bound() >= observed (retry termination).
     raise_own_shard(end);
     return Ticket{end, true};
   }

@@ -99,16 +99,6 @@ struct TxThread {
   // serial writes cannot be cancelled — so the enforcement point for the
   // escalation path is the token handoff in View::enter.
   Deadline deadline;
-  // MVCC-lite (DESIGN.md §16): a read-only transaction that consumed a
-  // retained ring value is PINNED to its start snapshot — timestamp
-  // extension would invalidate the versioned values it already returned,
-  // so every later slipped commit must also be served from the rings or
-  // the transaction conflicts. Only ever set when the engine's mvcc knob
-  // is on and tx.read_only holds.
-  bool snapshot_pinned = false;
-  // Reads served from a version ring in the current transaction
-  // (diagnostics; bench/micro_mvcc asserts the path is actually taken).
-  std::uint64_t mvcc_snapshot_reads = 0;
   // Victim-choice CM state (stm/cm_policy.hpp, DESIGN.md §20): karma
   // accumulator, run age, window slot and the published priority.
   // Accumulates across retries of one run; every terminal path (commit,
@@ -194,27 +184,6 @@ class TxEngine {
     tx.serial = false;
     commit(tx);
   }
-
-  // --- grace-period reclamation hooks (stm/epoch.hpp, DESIGN.md §17) -----
-  // Upper bound, in this engine's commit-clock domain, on the commit
-  // timestamp of the calling thread's just-committed transaction. The
-  // epoch layer stamps retired blocks with it so MVCC ring retirement
-  // can be folded into the reclaim horizon. 0 = no commit clock (CGL,
-  // TML): rings don't exist there, so nothing to fold.
-  virtual std::uint64_t retire_stamp() noexcept { return 0; }
-
-  // The engine's commit-activity quiescence bound (VersionClock::
-  // quiescence_horizon or equivalent). Steers ring recycling; never a
-  // safety gate (see the liveness discussion in stm/epoch.hpp).
-  virtual std::uint64_t version_horizon() noexcept { return 0; }
-
-  // Drop every retained MVCC ring entry whose visibility window closed
-  // at or below `bound`. The epoch layer calls this right before it
-  // frees blocks retired by commits <= bound, so rings never outlive
-  // the memory their (addr, value) pairs reference.
-  virtual void retire_versions_below(std::uint64_t bound) noexcept {
-    (void)bound;
-  }
 };
 
 // Marks the logical start of a transaction for cycle accounting. Engines
@@ -226,12 +195,6 @@ inline void begin_common(TxThread& tx, TxEngine* engine) noexcept {
   tx.in_tx = true;
   tx.tx_start_cycles = tx.collect_cycles ? rdcycles() : 0;
   tx.excluded_cycles = 0;
-  // Cleared unconditionally: NOrec's validation loop consults the flag even
-  // with mvcc off, so a value left behind by an earlier mvcc transaction on
-  // this thread must not leak in. The diagnostics counter, by contrast, is
-  // only meaningful for mvcc read-only transactions and is reset on that
-  // begin path alone — begin() stays a store lighter for everyone else.
-  tx.snapshot_pinned = false;
 }
 
 // Cycles this transaction has consumed so far, net of excluded time.

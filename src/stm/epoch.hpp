@@ -5,10 +5,8 @@
 // Before this layer, the block went back to the arena free list the
 // instant the commit published — while concurrently executing *doomed*
 // transactions (ones that began before the commit and will fail
-// validation) may still speculatively read it, and the MVCC rings (PR 6)
-// retain raw (addr, old value) pairs pointing into exactly that memory
-// for pinned read-only rewinds. Freed-and-reused memory plus a doomed
-// reader or a ring rewind is a use-after-free.
+// validation) may still speculatively read it. Freed-and-reused memory
+// plus a doomed reader is a use-after-free.
 //
 // The fix is classic epoch-based reclamation (EBR), shaped like the
 // EPOCH/ALLOCATOR policy slots of the zardoshti OrecEager exemplar
@@ -16,45 +14,31 @@
 //
 //   * EpochTracker — a global era counter plus kSlots per-thread pin
 //     slots (same dense thread_ordinal() mapping as the commit clock's
-//     quiescence slots, PR 5). A transaction *pins* the current era for
+//     per-thread slots). A transaction *pins* the current era for
 //     its whole lifetime (View::enter -> exit/abort, covering doomed
 //     execution and rollback); the *active horizon* is the minimum era
 //     pinned by any in-flight transaction.
 //   * LimboList — tx_free at commit does not free: it *retires* the
-//     block into a limbo list, stamped with (current era, committing
-//     transaction's commit timestamp). A reclaim pass advances the era
-//     and hands back to the arena only blocks whose era stamp is
-//     strictly below the active horizon — i.e. blocks retired before
-//     every in-flight transaction began.
-//   * MVCC fold-in — before the pass frees anything, it reports the
-//     maximum *commit timestamp* stamp among the blocks about to be
-//     freed, and the view tells its engine to retire_versions_below()
-//     that bound. Ring entries whose visibility window closed at or
-//     below the bound are dropped, so the rings can never outlive the
-//     memory their retained (addr, value) pairs reference.
+//     block into a limbo list, stamped with the current era. A reclaim
+//     pass advances the era and hands back to the arena only blocks
+//     whose era stamp is strictly below the active horizon — i.e.
+//     blocks retired before every in-flight transaction began.
 //
 // Why eras, not commit timestamps, gate the arena (the horizon
-// contract). PR 5's VersionClock quiescence slots track *commit*
-// activity: note_commit() stamps a slot when a thread commits, and
-// quiescence_horizon() is the minimum over threads that have ever
-// committed. Two properties make that signal unusable as the *safety*
-// gate here, and both were hit in anger while designing this layer:
+// contract). A horizon built from per-thread last-commit timestamps
+// fails twice as a *safety* gate:
 //
 //   1. Liveness: a thread that commits once during setup and then goes
-//      idle (every benchmark's main thread) pins quiescence_horizon()
+//      idle (every benchmark's main thread) would pin such a horizon
 //      below all later stamps forever — limbo would never drain.
 //      Era pins are held only for the duration of a transaction, so the
 //      horizon advances as soon as in-flight transactions finish.
-//   2. Coverage: read-only commits do zero clock traffic by design
-//      (PR 5), and *doomed* transactions never reach note_commit at
-//      all — precisely the transactions the grace period must wait out.
+//   2. Coverage: read-only commits do zero clock traffic by design, and
+//      *doomed* transactions never commit at all — precisely the
+//      transactions the grace period must wait out.
 //
-// So "every thread's quiescence slot has advanced past that stamp" is
-// implemented with the slot in *era* units (this file's per-thread pin
-// slots are the quiescence slots, advanced on transaction exit), while
-// the commit-*timestamp* stamp on each limbo node drives the MVCC ring
-// retirement bound and steers ring recycling (mvcc.hpp) — the role
-// commit-time horizons are actually sound for.
+// So "every thread has advanced past that stamp" is implemented with
+// per-thread pin slots in *era* units, advanced on transaction exit.
 //
 // Memory-order contract (all era_/slot operations are seq_cst; the
 // retire/advance pair is additionally serialised by the limbo mutex):
@@ -86,10 +70,8 @@
 //     after the retire — so a transaction that pins an era > s read it
 //     from such an advance and therefore happens-after the retire (and
 //     the unlink publication sequenced before it): it can no longer
-//     reach the block through memory, and its begin snapshot is recent
-//     enough that the MVCC rings will not serve the block either
-//     (completed_commit_bound / seqlock acquire, see DESIGN.md §17).
-//     A transaction pinned at an era <= s keeps the node in limbo.
+//     reach the block through memory. A transaction pinned at an era
+//     <= s keeps the node in limbo.
 //
 // Cost shape: pin/unpin are two uncontended same-line RMWs per
 // *transaction* (not per access), on a per-thread padded slot; retire
@@ -245,16 +227,12 @@ class LimboList {
     }
   }
 
-  // Retire a block freed by a committed transaction. commit_ts is the
-  // freeing commit's timestamp bound in the engine's clock domain
-  // (TxEngine::retire_stamp); it gates MVCC ring retirement, not the
-  // arena. The era stamp is read under the mutex — see the
-  // memory-order contract in the file header.
-  void retire(EpochTracker& epoch, void* block,
-              std::uint64_t commit_ts) noexcept {
+  // Retire a block freed by a committed transaction. The era stamp is
+  // read under the mutex — see the memory-order contract in the file
+  // header.
+  void retire(EpochTracker& epoch, void* block) noexcept {
     Node* node = new Node;
     node->block = block;
-    node->commit_ts = commit_ts;
     {
       std::lock_guard<std::mutex> lk(mu_);
       node->era = epoch.era();
@@ -272,18 +250,15 @@ class LimboList {
 
   // Run a reclaim pass: advance the era, compute the active horizon,
   // free every limbo block whose era stamp is strictly below it.
-  // Before any block is freed, retire_versions(max commit_ts among the
-  // blocks about to be freed) runs so MVCC rings drop entries into that
-  // memory first. free_block(void*) hands a block back to the arena.
+  // free_block(void*) hands a block back to the arena.
   // force=false uses try_lock (amortised callers skip when a pass is
   // already running); force=true blocks. Returns blocks reclaimed.
   // The kEpochAdvance schedule point lives in the caller (View::
   // reclaim_pass), BEFORE any lock is taken: parking a thread here while
   // it holds a blockable mutex would deadlock the cooperative harness.
-  template <typename FreeBlockFn, typename RetireVersionsFn>
+  template <typename FreeBlockFn>
   std::size_t reclaim(EpochTracker& epoch, bool force,
-                      FreeBlockFn&& free_block,
-                      RetireVersionsFn&& retire_versions) {
+                      FreeBlockFn&& free_block) {
     if (force) {
       mu_.lock();
     } else if (!mu_.try_lock()) {
@@ -311,13 +286,11 @@ class LimboList {
     Node* eligible = nullptr;
     Node* kept = nullptr;
     std::size_t n = 0;
-    std::uint64_t cts_bound = 0;
     while (all != nullptr) {
       Node* next = all->next;
       if (all->era < horizon) {
         all->next = eligible;
         eligible = all;
-        if (all->commit_ts > cts_bound) cts_bound = all->commit_ts;
         ++n;
       } else {
         all->next = kept;
@@ -328,9 +301,6 @@ class LimboList {
     head_ = kept;
     mu_.unlock();
     if (n == 0) return 0;
-    // Rings first, memory second: entries referencing the blocks are
-    // gone before the arena can hand the memory to a new owner.
-    retire_versions(cts_bound);
     while (eligible != nullptr) {
       Node* next = eligible->next;
       free_block(eligible->block);
@@ -361,7 +331,6 @@ class LimboList {
   struct Node {
     Node* next = nullptr;
     void* block = nullptr;
-    std::uint64_t commit_ts = 0;
     std::uint64_t era = 0;
   };
 

@@ -182,22 +182,18 @@ std::unique_ptr<TxEngine> make_engine(Algo algo, const EngineConfig& config) {
   switch (algo) {
     case Algo::kNOrec:
       return std::make_unique<NOrecEngine>(config.norec_commit_filters,
-                                           config.mvcc,
                                            sanitized_cm_runtime(config));
     case Algo::kOrecEagerRedo:
       return std::make_unique<OrecEagerRedoEngine>(
           sanitized_orec_table_config(config), config.clock_policy,
-          config.mvcc, config.mvcc_ring_depth, config.mvcc_horizon_refresh,
           sanitized_cm_runtime(config));
     case Algo::kOrecLazy:
       return std::make_unique<OrecLazyEngine>(
           sanitized_orec_table_config(config), config.clock_policy,
-          config.mvcc, config.mvcc_ring_depth, config.mvcc_horizon_refresh,
           sanitized_cm_runtime(config));
     case Algo::kOrecEagerUndo:
       return std::make_unique<OrecEagerUndoEngine>(
           sanitized_orec_table_config(config), config.clock_policy,
-          config.mvcc, config.mvcc_ring_depth, config.mvcc_horizon_refresh,
           sanitized_cm_runtime(config));
     case Algo::kTml:
       return std::make_unique<TmlEngine>();

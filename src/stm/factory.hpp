@@ -11,7 +11,6 @@
 #include "stm/clock.hpp"
 #include "stm/contention.hpp"
 #include "stm/engine.hpp"
-#include "stm/mvcc.hpp"
 #include "stm/orec_table.hpp"
 #include "util/numa.hpp"
 
@@ -56,25 +55,6 @@ struct EngineConfig {
   // the setting is ignored there. Per view, like everything else in
   // EngineConfig (it rides in ViewConfig::engine).
   ClockPolicy clock_policy = ClockPolicy::kGv1;
-  // MVCC-lite versioned read path (stm/mvcc.hpp, DESIGN.md §16): read-only
-  // transactions fall back to retained ring values instead of aborting on a
-  // slipped commit. Accepted by every algorithm; inert for TML/CGL (no
-  // write logs to mine). Default follows the VOTM_MVCC CMake option; note
-  // that engines constructed DIRECTLY (not via make_engine) default to
-  // mvcc off, so pre-existing harnesses measure unchanged code.
-  bool mvcc = kMvccDefault;
-  // Retained (version, value) entries per orec stripe (orec engines only;
-  // NOrec's global commit-log ring has a fixed shape).
-  std::size_t mvcc_ring_depth = OrecVersionRings::kDefaultDepth;
-  // How many writer commits between refreshes of the cached quiescence
-  // horizon that steers ring recycling (orec engines; rounded up to a
-  // power of two, minimum 1). Between refreshes the cache can go stale
-  // and push() falls back to round-robin eviction — the engines also
-  // refresh immediately when a push reports a lap, so the staleness
-  // window is bounded by one lapped commit, not the cadence
-  // (satellite fix for the 256-commit stale-bound burst; unit-tested
-  // via the kEpochStaleHorizon fault site).
-  std::uint32_t mvcc_horizon_refresh = OrecVersionRings::kHorizonRefreshPushes;
   // Wait-based contention management (stm/contention.hpp, DESIGN.md §19):
   // on a foreign-locked orec the loser parks on the winner's orec with a
   // bounded wait instead of aborting; timeout falls back to today's

@@ -25,9 +25,6 @@ void NOrecEngine::begin(TxThread& tx) {
       spins = 0;
     }
   }
-  // Counter hygiene for the pinned-snapshot diagnostics; writers and
-  // mvcc-off transactions never touch it (see begin_common).
-  if (tx.read_only && mvcc_) tx.mvcc_snapshot_reads = 0;
   begin_common(tx, this);
   // Victim-choice CM: the seqlock snapshot is NOrec's begin ordinal
   // (DESIGN.md §20; only the run's first value is ranked).
@@ -104,50 +101,9 @@ std::uint64_t NOrecEngine::validate(TxThread& tx) {
       }
     }
     if (!VOTM_FAULT(kNorecSkipValidation) && !tx.vlog.values_match()) {
-      // MVCC-lite: a read-only transaction pins its snapshot instead of
-      // dying — the logged values ARE the consistent state at tx.snapshot
-      // (they were validated there, and the mismatch only says memory has
-      // moved on). read() serves all later reads via snapshot_read().
-      if (mvcc_ && tx.read_only && !tx.serial) {
-        tx.snapshot_pinned = true;
-        return tx.snapshot;
-      }
       tx.conflict(ConflictKind::kValidationFail);
     }
     if (seq.load(std::memory_order_acquire) == time) return time;
-  }
-}
-
-Word NOrecEngine::snapshot_read(TxThread& tx, const Word* addr) {
-  // Reads-at-a-pinned-snapshot: rewind the current value of addr through
-  // every commit that landed since tx.snapshot. No vlog push — validation
-  // never runs again on a pinned transaction (it is read-only, and read()
-  // routes straight here), so the log is frozen as the witness of the
-  // pinned snapshot.
-  VOTM_SCHED_POINT(kStmMvccRead);
-  auto& seq = seqlock_.value;
-  int spins = 0;
-  for (;;) {
-    const std::uint64_t now = seq.load(std::memory_order_acquire);
-    if ((now & 1) != 0) {
-      VOTM_SCHED_YIELD_POINT(kStmWaitSeq);
-      Backoff::cpu_relax();
-      if (++spins > 64) {
-        std::this_thread::yield();
-        spins = 0;
-        deadline_poll(tx);
-      }
-      continue;
-    }
-    Word value = load_word(addr);
-    const bool ok = now == tx.snapshot ||
-                    commit_log_->reconstruct(addr, tx.snapshot, now, &value);
-    // A committer racing the walk can fail slot stamps spuriously; only a
-    // stable sequence turns a failed reconstruction into a real miss.
-    if (seq.load(std::memory_order_acquire) != now) continue;
-    if (!ok) tx.conflict(ConflictKind::kValidationFail);
-    ++tx.mvcc_snapshot_reads;
-    return value;
   }
 }
 
@@ -167,10 +123,8 @@ Word NOrecEngine::read(TxThread& tx, const Word* addr) {
   VOTM_SCHED_POINT(kStmReadRetry);
   // If anyone committed since our snapshot, the read may be inconsistent
   // with the log: re-validate (value-based or filter-skipped) and re-read
-  // until stable. A pinned transaction (MVCC-lite) can never catch up to
-  // the sequence lock again — its reads come from the commit-log rewind.
+  // until stable.
   while (seqlock_.value.load(std::memory_order_acquire) != tx.snapshot) {
-    if (tx.snapshot_pinned) return snapshot_read(tx, addr);
     tx.snapshot = validate(tx);
     value = load_word(addr);
   }
@@ -238,31 +192,13 @@ void NOrecEngine::commit(TxThread& tx) {
   // Broadcast our write signature for the sequence value this commit will
   // publish, so readers validating against it can skip their value scans.
   if (filters_) publish_signature(tx.snapshot + 2, tx.wset.filter());
-  if (mvcc_) {
-    // Publish this commit's (addr, old value) log while capturing the olds
-    // right before each write-back store — the wset is deduped, so one
-    // pass sees each word's true pre-commit value exactly once. The slot
-    // is stamped before the sequence release below, so any reader that
-    // observes the new sequence also sees the finished slot.
-    CommitLogRing::Publisher pub = commit_log_->begin_publish(tx.snapshot + 2);
-    for (const WriteSet::Entry& e : tx.wset.entries()) {
-      VOTM_SCHED_POINT(kStmCommitWriteback);
-      commit_log_->record(pub, e.addr, load_word(e.addr));
-      store_word(e.addr, e.value);
-    }
-    commit_log_->finish_publish(pub, tx.snapshot + 2);
-  } else {
-    for (const WriteSet::Entry& e : tx.wset.entries()) {
-      VOTM_SCHED_POINT(kStmCommitWriteback);
-      store_word(e.addr, e.value);
-    }
+  for (const WriteSet::Entry& e : tx.wset.entries()) {
+    VOTM_SCHED_POINT(kStmCommitWriteback);
+    store_word(e.addr, e.value);
   }
   // No sched point past this release: the publish-to-return window must
   // stay uninterleaved for the harness's serialization witness.
   seq.store(tx.snapshot + 2, std::memory_order_release);
-  // Quiescence slot for the epoch layer's version_horizon(); one load +
-  // release store, no RMW.
-  quiesce_.note_commit(tx.snapshot + 2);
   // Drop our priority advertisement so later committers stop deferring.
   cm_norec_clear(tx, cm_advertised_.value, cm_);
   tx.clear_logs();
@@ -316,7 +252,6 @@ void NOrecEngine::end_serial(TxThread& tx) {
   // as any committed writer.
   tx.serial = false;
   seqlock_.value.store(tx.snapshot + 2, std::memory_order_release);
-  quiesce_.note_commit(tx.snapshot + 2);
   tx.clear_logs();
 }
 

@@ -22,25 +22,13 @@
 // runtime (`commit_filters` ctor arg) so bench/micro_validation can A/B
 // both modes in one binary; the compile-time default follows the
 // VOTM_VALIDATION_FILTERS CMake option.
-//
-// MVCC-lite (runtime `mvcc` ctor arg; stm/mvcc.hpp, DESIGN.md §16): a
-// committing writer additionally publishes a bounded (addr, old value) log
-// into a global CommitLogRing while it holds the sequence lock. A
-// read-only transaction whose value validation would fail PINS its
-// snapshot instead of aborting and serves every later read by rewinding
-// the current memory value through the logged commits — so long readers
-// survive slipped commits. Unreconstructable reads (ring lapped, oversized
-// commit, serial-mode bump) conflict exactly as before.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <memory>
 
-#include "stm/clock.hpp"
 #include "stm/contention.hpp"
 #include "stm/engine.hpp"
-#include "stm/mvcc.hpp"
 #include "stm/signature.hpp"
 #include "util/cacheline.hpp"
 
@@ -49,11 +37,8 @@ namespace votm::stm {
 class NOrecEngine final : public TxEngine {
  public:
   explicit NOrecEngine(bool commit_filters = kValidationFiltersDefault,
-                       bool mvcc = false, CmRuntime cm = {})
-      : cm_(cm),
-        filters_(commit_filters),
-        mvcc_(mvcc),
-        commit_log_(mvcc ? std::make_unique<CommitLogRing>() : nullptr) {}
+                       CmRuntime cm = {})
+      : cm_(cm), filters_(commit_filters) {}
 
   const char* name() const noexcept override { return "NOrec"; }
 
@@ -74,25 +59,6 @@ class NOrecEngine final : public TxEngine {
     return seqlock_.value.load(std::memory_order_relaxed);
   }
   bool commit_filters() const noexcept { return filters_; }
-  bool mvcc() const noexcept { return mvcc_; }
-  CommitLogRing* commit_log() noexcept { return commit_log_.get(); }
-
-  // Grace-period reclamation hooks (stm/epoch.hpp, DESIGN.md §17). NOrec
-  // has no version clock; its commit-clock domain is the sequence lock.
-  // A relaxed load is a sound upper bound on the calling thread's own
-  // just-published commit (the sequence is monotone and the caller's
-  // release store is program-ordered before this).
-  std::uint64_t retire_stamp() noexcept override { return sequence(); }
-  // Commit-activity quiescence over the sequence-lock domain, tracked by
-  // a dedicated slot clock fed from the writer commit tail (note_commit
-  // is a load + release store, no RMW — see VersionClock). Steers
-  // CommitLogRing recycling decisions only; never a safety gate.
-  std::uint64_t version_horizon() noexcept override {
-    return quiesce_.quiescence_horizon();
-  }
-  void retire_versions_below(std::uint64_t bound) noexcept override {
-    if (commit_log_) commit_log_->retire_below(bound);
-  }
 
  private:
   // One broadcast slot: the even sequence value a commit published, plus
@@ -109,16 +75,8 @@ class NOrecEngine final : public TxEngine {
   static constexpr std::size_t kSigRingSlots = 64;  // power of two
 
   // Re-validates tx's read log until a consistent even snapshot is found;
-  // calls tx.conflict() if any logged value changed — unless the
-  // transaction is read-only and mvcc is on, in which case a failed value
-  // scan PINS the snapshot (tx.snapshot_pinned) and returns it unchanged:
-  // the already-logged values stay the consistent state at tx.snapshot,
-  // and read() serves everything later via snapshot_read().
+  // calls tx.conflict() if any logged value changed.
   std::uint64_t validate(TxThread& tx);
-
-  // Pinned-snapshot read: reconstructs the value of addr at tx.snapshot
-  // from the commit-log ring; conflicts if any needed slot is gone.
-  Word snapshot_read(TxThread& tx, const Word* addr);
 
   // True if every commit in (since, upto] (even sequence values) has a
   // readable ring slot whose write signature is disjoint from `reads`.
@@ -140,13 +98,7 @@ class NOrecEngine final : public TxEngine {
   const CmRuntime cm_;
   CacheLinePadded<std::atomic<std::uint64_t>> cm_advertised_{};
   const bool filters_;
-  const bool mvcc_;
-  std::unique_ptr<CommitLogRing> commit_log_;  // allocated iff mvcc_
   std::array<SigSlot, kSigRingSlots> ring_{};
-  // Per-thread quiescence slots over the sequence-lock domain (used only
-  // for note_commit/quiescence_horizon; the clock itself stays the
-  // seqlock). Feeds version_horizon() for commit-log recycling.
-  VersionClock quiesce_{ClockPolicy::kGv1};
 };
 
 }  // namespace votm::stm

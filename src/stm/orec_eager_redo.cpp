@@ -9,18 +9,7 @@ namespace votm::stm {
 
 void OrecEagerRedoEngine::begin(TxThread& tx) {
   VOTM_SCHED_POINT(kStmBegin);
-  // MVCC-lite read-only begins need a snapshot that dominates every
-  // COMPLETED commit (GV5 commits can run ahead of the raw clock): a
-  // versioned read below that line would serialize the reader behind
-  // real time. See VersionClock::completed_commit_bound. (read_only is
-  // tested first: it short-circuits on a thread-hot field, keeping writer
-  // begins off the engine flag entirely.)
-  if (tx.read_only && mvcc_) {
-    tx.start_time = clock_.completed_commit_bound();
-    tx.mvcc_snapshot_reads = 0;
-  } else {
-    tx.start_time = clock_.begin_snapshot();
-  }
+  tx.start_time = clock_.begin_snapshot();
   begin_common(tx, this);
   // Victim-choice CM: rank this attempt and publish the priority before
   // anyone can meet our locks (DESIGN.md §20).
@@ -60,17 +49,6 @@ void OrecEagerRedoEngine::extend(TxThread& tx, std::uint64_t observed) {
   tx.start_time = now;
 }
 
-bool OrecEagerRedoEngine::mvcc_read(TxThread& tx, std::size_t stripe,
-                                    const Word* addr, Word* out) noexcept {
-  if (!rings_->lookup(stripe, addr, tx.start_time, out)) return false;
-  // Consuming a retained value fixes the snapshot: a later extension would
-  // move start_time past this value's window. All further slipped commits
-  // must be served by the rings too, or the transaction conflicts.
-  tx.snapshot_pinned = true;
-  ++tx.mvcc_snapshot_reads;
-  return true;
-}
-
 Word OrecEagerRedoEngine::read(TxThread& tx, const Word* addr) {
   VOTM_SCHED_POINT(kStmRead);
   // Serial mode runs alone in a drained view: plain access, no logging.
@@ -78,8 +56,7 @@ Word OrecEagerRedoEngine::read(TxThread& tx, const Word* addr) {
   if (const Word* buffered = tx.wset.lookup(addr)) {
     return *buffered;
   }
-  const std::size_t stripe = orecs_.index_for(addr);
-  Orec& o = orecs_.at(stripe);
+  Orec& o = orecs_.for_address(addr);
   for (;;) {
     const Orec::Packed before = o.load();
     if (Orec::is_locked(before)) {
@@ -87,12 +64,6 @@ Word OrecEagerRedoEngine::read(TxThread& tx, const Word* addr) {
         // We own the covering orec but this exact address is not in the
         // redo log (orec aliasing): memory still holds the pre-tx value.
         return load_word(addr);
-      }
-      // MVCC-lite: a read-only transaction may still find its snapshot's
-      // value in the stripe ring even while a writer holds the lock.
-      if (mvcc_ && tx.read_only) {
-        Word retained;
-        if (mvcc_read(tx, stripe, addr, &retained)) return retained;
       }
       // Victim-choice CM: rank us against the lock holder, then wait out
       // or abort per the decision (kAbortSelf degrades to the plain
@@ -104,15 +75,6 @@ Word OrecEagerRedoEngine::read(TxThread& tx, const Word* addr) {
       tx.conflict(ConflictKind::kReadLocked);
     }
     if (Orec::version_of(before) > tx.start_time) {
-      // MVCC-lite: the stripe moved past our snapshot — the classic
-      // long-reader death. Prefer the retained value at start_time; a
-      // miss falls back to extension (still legal while unpinned) or,
-      // once pinned, to the conflict the ring was meant to avoid.
-      if (mvcc_ && tx.read_only) {
-        Word retained;
-        if (mvcc_read(tx, stripe, addr, &retained)) return retained;
-        if (tx.snapshot_pinned) tx.conflict(ConflictKind::kValidationFail);
-      }
       extend(tx, Orec::version_of(before));
       continue;
     }
@@ -188,24 +150,6 @@ void OrecEagerRedoEngine::commit(TxThread& tx) {
   // order) is only sound if completion order equals ticket order. Writes
   // are covered by encounter-time locks, so nothing here is observable
   // anyway until the unlock sweep publishes the versions.
-  if (mvcc_) {
-    // Retire the pre-commit values into the stripe rings (before the
-    // write-back overwrites them), refreshing the recycling horizon from
-    // the quiescence slots every EngineConfig::mvcc_horizon_refresh
-    // commits — and immediately when a push had to lap a live entry,
-    // which bounds the stale-horizon window to one lapped commit
-    // (kEpochStaleHorizon injects exactly that staleness to test the
-    // window; recycling is a policy, so a stale bound is never unsafe).
-    if ((mvcc_commits_.fetch_add(1, std::memory_order_relaxed) &
-         horizon_mask_) == 0 &&
-        !VOTM_FAULT(kEpochStaleHorizon)) {
-      rings_->set_horizon(clock_.quiescence_horizon());
-    }
-    if (mvcc_publish_redo(*rings_, orecs_, tx, ticket.end_time) &&
-        !VOTM_FAULT(kEpochStaleHorizon)) {
-      rings_->set_horizon(clock_.quiescence_horizon());
-    }
-  }
   for (const WriteSet::Entry& e : tx.wset.entries()) {
     store_word(e.addr, e.value);
   }

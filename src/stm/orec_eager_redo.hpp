@@ -9,12 +9,9 @@
 // contention (Tables III and V, Q >= 16).
 #pragma once
 
-#include <memory>
-
 #include "stm/clock.hpp"
 #include "stm/contention.hpp"
 #include "stm/engine.hpp"
-#include "stm/mvcc.hpp"
 #include "stm/orec_table.hpp"
 
 namespace votm::stm {
@@ -22,23 +19,12 @@ namespace votm::stm {
 class OrecEagerRedoEngine final : public TxEngine {
  public:
   // `orec_table` keeps accepting a bare size (OrecTableConfig converts
-  // implicitly) so pre-granularity call sites read unchanged; the rings
-  // are sized from the constructed table so the stripe spaces coincide at
-  // every granularity/layout setting.
+  // implicitly) so pre-granularity call sites read unchanged.
   explicit OrecEagerRedoEngine(
       OrecTableConfig orec_table = {},
-      ClockPolicy clock_policy = ClockPolicy::kGv1, bool mvcc = false,
-      std::size_t mvcc_ring_depth = OrecVersionRings::kDefaultDepth,
-      std::uint32_t mvcc_horizon_refresh =
-          OrecVersionRings::kHorizonRefreshPushes,
-      CmRuntime cm = {})
+      ClockPolicy clock_policy = ClockPolicy::kGv1, CmRuntime cm = {})
       : clock_(clock_policy),
         orecs_(orec_table),
-        mvcc_(mvcc),
-        rings_(mvcc ? std::make_unique<OrecVersionRings>(orecs_.size(),
-                                                         mvcc_ring_depth)
-                    : nullptr),
-        horizon_mask_(horizon_refresh_mask(mvcc_horizon_refresh)),
         cm_(cm) {}
 
   const char* name() const noexcept override { return "OrecEagerRedo"; }
@@ -53,24 +39,6 @@ class OrecEagerRedoEngine final : public TxEngine {
   std::uint64_t clock() const noexcept { return clock_.read(); }
   const VersionClock& version_clock() const noexcept { return clock_; }
   OrecTable& orec_table() noexcept { return orecs_; }
-  bool mvcc() const noexcept { return mvcc_; }
-  OrecVersionRings* version_rings() noexcept { return rings_.get(); }
-
-  // Grace-period reclamation hooks (stm/epoch.hpp, DESIGN.md §17). The
-  // retire stamp must dominate the calling thread's just-published commit
-  // even under GV5, where end times run ahead of the raw clock — hence
-  // the max with the thread's own quiescence slot.
-  std::uint64_t retire_stamp() noexcept override {
-    const std::uint64_t own = clock_.last_commit(thread_ordinal());
-    const std::uint64_t global = clock_.read();
-    return own > global ? own : global;
-  }
-  std::uint64_t version_horizon() noexcept override {
-    return clock_.quiescence_horizon();
-  }
-  void retire_versions_below(std::uint64_t bound) noexcept override {
-    if (rings_) rings_->retire_below(bound);
-  }
 
  private:
   // Validates the orec read log; returns false if any orec is foreign-locked
@@ -83,19 +51,8 @@ class OrecEagerRedoEngine final : public TxEngine {
   // clock under GV5; see VersionClock::extension_bound).
   void extend(TxThread& tx, std::uint64_t observed);
 
-  // MVCC-lite read fallback (stm/mvcc.hpp): serve a read-only transaction
-  // from the stripe ring at tx.start_time, pinning the snapshot on a hit.
-  // Returns true with *out set; false = no covering entry (caller falls
-  // back, or conflicts if already pinned).
-  bool mvcc_read(TxThread& tx, std::size_t stripe, const Word* addr,
-                 Word* out) noexcept;
-
   VersionClock clock_;
   OrecTable orecs_;
-  const bool mvcc_;
-  std::unique_ptr<OrecVersionRings> rings_;  // allocated iff mvcc_
-  std::atomic<std::uint32_t> mvcc_commits_{0};  // horizon-refresh pacing
-  const std::uint32_t horizon_mask_;  // EngineConfig::mvcc_horizon_refresh
   // Contention management (stm/contention.hpp): wait/abort mode, spin
   // budget and the victim-choice policy bundle (DESIGN.md §§19-20).
   const CmRuntime cm_;

@@ -13,14 +13,7 @@ namespace votm::stm {
 
 void OrecEagerUndoEngine::begin(TxThread& tx) {
   VOTM_SCHED_POINT(kStmBegin);
-  // Read-only + mvcc: snapshot must dominate every completed commit (see
-  // OrecEagerRedoEngine::begin / VersionClock::completed_commit_bound).
-  if (tx.read_only && mvcc_) {
-    tx.start_time = clock_.completed_commit_bound();
-    tx.mvcc_snapshot_reads = 0;
-  } else {
-    tx.start_time = clock_.begin_snapshot();
-  }
+  tx.start_time = clock_.begin_snapshot();
   begin_common(tx, this);
   // Victim-choice CM: rank this attempt and publish the priority before
   // anyone can meet our locks (DESIGN.md §20).
@@ -55,34 +48,17 @@ void OrecEagerUndoEngine::extend(TxThread& tx, std::uint64_t observed) {
   tx.start_time = now;
 }
 
-bool OrecEagerUndoEngine::mvcc_read(TxThread& tx, std::size_t stripe,
-                                    const Word* addr, Word* out) noexcept {
-  if (!rings_->lookup(stripe, addr, tx.start_time, out)) return false;
-  // Consuming a retained value fixes the snapshot (no later extension);
-  // see OrecEagerRedoEngine::mvcc_read.
-  tx.snapshot_pinned = true;
-  ++tx.mvcc_snapshot_reads;
-  return true;
-}
-
 Word OrecEagerUndoEngine::read(TxThread& tx, const Word* addr) {
   VOTM_SCHED_POINT(kStmRead);
   // Serial mode runs alone in a drained view: plain access, no logging.
   if (tx.serial) return load_word(addr);
-  const std::size_t stripe = orecs_.index_for(addr);
-  Orec& o = orecs_.at(stripe);
+  Orec& o = orecs_.for_address(addr);
   for (;;) {
     const Orec::Packed before = o.load();
     if (Orec::is_locked(before)) {
       if (Orec::owner_of(before) == &tx) {
         // Own lock: memory holds our speculative (write-through) value.
         return load_word(addr);
-      }
-      // MVCC-lite: the ring retains committed pre-lock values — precisely
-      // what a reader needs while the in-place value is speculative.
-      if (mvcc_ && tx.read_only) {
-        Word retained;
-        if (mvcc_read(tx, stripe, addr, &retained)) return retained;
       }
       // Victim-choice CM: rank us against the write-through holder, then
       // outwait or abort per the decision; the in-place value becomes
@@ -92,13 +68,6 @@ Word OrecEagerUndoEngine::read(TxThread& tx, const Word* addr) {
       tx.conflict(ConflictKind::kReadLocked);
     }
     if (Orec::version_of(before) > tx.start_time) {
-      // MVCC-lite fallback before extension; conflict only once pinned
-      // (see OrecEagerRedoEngine::read).
-      if (mvcc_ && tx.read_only) {
-        Word retained;
-        if (mvcc_read(tx, stripe, addr, &retained)) return retained;
-        if (tx.snapshot_pinned) tx.conflict(ConflictKind::kValidationFail);
-      }
       extend(tx, Orec::version_of(before));
       continue;
     }
@@ -171,20 +140,6 @@ void OrecEagerUndoEngine::commit(TxThread& tx) {
   }
   // Memory already holds the final values; just publish the versions. No
   // sched point from here to return (oracle's serialization witness).
-  if (mvcc_) {
-    // Retire each written word's pre-transaction value (the first undo-log
-    // entry per address) into the stripe rings; horizon refresh paced
-    // (and re-run on a lapped push) as in OrecEagerRedoEngine::commit.
-    if ((mvcc_commits_.fetch_add(1, std::memory_order_relaxed) &
-         horizon_mask_) == 0 &&
-        !VOTM_FAULT(kEpochStaleHorizon)) {
-      rings_->set_horizon(clock_.quiescence_horizon());
-    }
-    if (mvcc_publish_undo(*rings_, orecs_, tx, ticket.end_time) &&
-        !VOTM_FAULT(kEpochStaleHorizon)) {
-      rings_->set_horizon(clock_.quiescence_horizon());
-    }
-  }
   for (const OwnedOrec& w : tx.wlocks) {
     w.orec->unlock_to_version(ticket.end_time);
   }

@@ -15,12 +15,9 @@
 // timestamp extension, like the other orec engines.
 #pragma once
 
-#include <memory>
-
 #include "stm/clock.hpp"
 #include "stm/contention.hpp"
 #include "stm/engine.hpp"
-#include "stm/mvcc.hpp"
 #include "stm/orec_table.hpp"
 
 namespace votm::stm {
@@ -30,18 +27,9 @@ class OrecEagerUndoEngine final : public TxEngine {
   // See OrecEagerRedoEngine for the OrecTableConfig compatibility note.
   explicit OrecEagerUndoEngine(
       OrecTableConfig orec_table = {},
-      ClockPolicy clock_policy = ClockPolicy::kGv1, bool mvcc = false,
-      std::size_t mvcc_ring_depth = OrecVersionRings::kDefaultDepth,
-      std::uint32_t mvcc_horizon_refresh =
-          OrecVersionRings::kHorizonRefreshPushes,
-      CmRuntime cm = {})
+      ClockPolicy clock_policy = ClockPolicy::kGv1, CmRuntime cm = {})
       : clock_(clock_policy),
         orecs_(orec_table),
-        mvcc_(mvcc),
-        rings_(mvcc ? std::make_unique<OrecVersionRings>(orecs_.size(),
-                                                         mvcc_ring_depth)
-                    : nullptr),
-        horizon_mask_(horizon_refresh_mask(mvcc_horizon_refresh)),
         cm_(cm) {}
 
   const char* name() const noexcept override { return "OrecEagerUndo"; }
@@ -56,37 +44,13 @@ class OrecEagerUndoEngine final : public TxEngine {
   std::uint64_t clock() const noexcept { return clock_.read(); }
   const VersionClock& version_clock() const noexcept { return clock_; }
   OrecTable& orec_table() noexcept { return orecs_; }
-  bool mvcc() const noexcept { return mvcc_; }
-  OrecVersionRings* version_rings() noexcept { return rings_.get(); }
-
-  // Grace-period reclamation hooks (stm/epoch.hpp, DESIGN.md §17); see
-  // OrecEagerRedoEngine for the GV5 retire-stamp rationale.
-  std::uint64_t retire_stamp() noexcept override {
-    const std::uint64_t own = clock_.last_commit(thread_ordinal());
-    const std::uint64_t global = clock_.read();
-    return own > global ? own : global;
-  }
-  std::uint64_t version_horizon() noexcept override {
-    return clock_.quiescence_horizon();
-  }
-  void retire_versions_below(std::uint64_t bound) noexcept override {
-    if (rings_) rings_->retire_below(bound);
-  }
 
  private:
   bool read_log_valid(TxThread& tx, std::uint64_t bound) const noexcept;
   void extend(TxThread& tx, std::uint64_t observed);
 
-  // MVCC-lite read fallback (stm/mvcc.hpp); see OrecEagerRedoEngine.
-  bool mvcc_read(TxThread& tx, std::size_t stripe, const Word* addr,
-                 Word* out) noexcept;
-
   VersionClock clock_;
   OrecTable orecs_;
-  const bool mvcc_;
-  std::unique_ptr<OrecVersionRings> rings_;  // allocated iff mvcc_
-  std::atomic<std::uint32_t> mvcc_commits_{0};  // horizon-refresh pacing
-  const std::uint32_t horizon_mask_;  // EngineConfig::mvcc_horizon_refresh
   // Contention management (stm/contention.hpp). Especially apt here: an
   // abort pays the undo pass, so both outwaiting a short commit-time hold
   // and a victim choice that protects work already done (kKarma) save the

@@ -11,14 +11,7 @@ namespace votm::stm {
 
 void OrecLazyEngine::begin(TxThread& tx) {
   VOTM_SCHED_POINT(kStmBegin);
-  // Read-only + mvcc: snapshot must dominate every completed commit (see
-  // OrecEagerRedoEngine::begin / VersionClock::completed_commit_bound).
-  if (tx.read_only && mvcc_) {
-    tx.start_time = clock_.completed_commit_bound();
-    tx.mvcc_snapshot_reads = 0;
-  } else {
-    tx.start_time = clock_.begin_snapshot();
-  }
+  tx.start_time = clock_.begin_snapshot();
   begin_common(tx, this);
   // Victim-choice CM: rank this attempt and publish the priority before
   // the commit-time acquisition race can meet anyone (DESIGN.md §20).
@@ -53,16 +46,6 @@ void OrecLazyEngine::extend(TxThread& tx, std::uint64_t observed) {
   tx.start_time = now;
 }
 
-bool OrecLazyEngine::mvcc_read(TxThread& tx, std::size_t stripe,
-                               const Word* addr, Word* out) noexcept {
-  if (!rings_->lookup(stripe, addr, tx.start_time, out)) return false;
-  // Consuming a retained value fixes the snapshot (no later extension);
-  // see OrecEagerRedoEngine::mvcc_read.
-  tx.snapshot_pinned = true;
-  ++tx.mvcc_snapshot_reads;
-  return true;
-}
-
 Word OrecLazyEngine::read(TxThread& tx, const Word* addr) {
   VOTM_SCHED_POINT(kStmRead);
   // Serial mode runs alone in a drained view: plain access, no logging.
@@ -70,18 +53,11 @@ Word OrecLazyEngine::read(TxThread& tx, const Word* addr) {
   if (const Word* buffered = tx.wset.lookup(addr)) {
     return *buffered;
   }
-  const std::size_t stripe = orecs_.index_for(addr);
-  Orec& o = orecs_.at(stripe);
+  Orec& o = orecs_.for_address(addr);
   int spins = 0;
   for (;;) {
     const Orec::Packed before = o.load();
     if (Orec::is_locked(before)) {
-      // MVCC-lite: a read-only transaction can dodge the wait entirely if
-      // the stripe ring retains its snapshot's value.
-      if (mvcc_ && tx.read_only) {
-        Word retained;
-        if (mvcc_read(tx, stripe, addr, &retained)) return retained;
-      }
       // Lazy engines only hold locks during commit write-back; the window
       // is short, so wait it out rather than abort. Yield periodically: on
       // an oversubscribed host the committer may be descheduled, and a
@@ -98,13 +74,6 @@ Word OrecLazyEngine::read(TxThread& tx, const Word* addr) {
       continue;
     }
     if (Orec::version_of(before) > tx.start_time) {
-      // MVCC-lite fallback before extension; conflict only once pinned
-      // (see OrecEagerRedoEngine::read).
-      if (mvcc_ && tx.read_only) {
-        Word retained;
-        if (mvcc_read(tx, stripe, addr, &retained)) return retained;
-        if (tx.snapshot_pinned) tx.conflict(ConflictKind::kValidationFail);
-      }
       extend(tx, Orec::version_of(before));
       continue;
     }
@@ -186,20 +155,6 @@ void OrecLazyEngine::commit(TxThread& tx) {
   // order) is only sound if completion order equals ticket order. The
   // locked window above (between per-orec acquisitions) still exposes
   // every reader-vs-locked-orec interleaving.
-  if (mvcc_) {
-    // Retire pre-commit values into the stripe rings before write-back;
-    // horizon refresh paced (and re-run on a lapped push) as in
-    // OrecEagerRedoEngine::commit.
-    if ((mvcc_commits_.fetch_add(1, std::memory_order_relaxed) &
-         horizon_mask_) == 0 &&
-        !VOTM_FAULT(kEpochStaleHorizon)) {
-      rings_->set_horizon(clock_.quiescence_horizon());
-    }
-    if (mvcc_publish_redo(*rings_, orecs_, tx, ticket.end_time) &&
-        !VOTM_FAULT(kEpochStaleHorizon)) {
-      rings_->set_horizon(clock_.quiescence_horizon());
-    }
-  }
   for (const WriteSet::Entry& e : tx.wset.entries()) {
     store_word(e.addr, e.value);
   }

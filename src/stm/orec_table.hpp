@@ -182,9 +182,8 @@ class OrecTable {
 
   Orec& for_address(const void* addr) noexcept { return at(index_for(addr)); }
 
-  // The stripe index behind for_address, exposed so sidecar per-stripe
-  // structures (the MVCC version rings) share the exact same address->stripe
-  // map without duplicating the hash. granularity_shift_ folds addresses
+  // The stripe index behind for_address, exposed so tests can inspect the
+  // address->stripe map directly. granularity_shift_ folds addresses
   // that share a 2^shift-byte block onto one stripe BEFORE mixing, so the
   // knob changes which addresses collide, not how well the hash spreads.
   std::size_t index_for(const void* addr) const noexcept {

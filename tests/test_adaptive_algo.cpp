@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -183,8 +184,10 @@ TEST(SwitchAlgorithm, CounterStaysExactAcrossLiveSwitches) {
 }
 
 TEST(SwitchAlgorithm, AdaptiveStormTriggersNOrecFallback) {
-  // A hot OrecEagerRedo view with yields holding encounter-time locks: the
-  // selector should observe the abort storm and move the view to NOrec.
+  // A hot OrecEagerRedo view whose writers sleep while holding their
+  // encounter-time lock: the selector should observe the abort storm and
+  // move the view to NOrec. A sleep, not a yield: with idle cores a yield
+  // does not deschedule the holder, so the storm depended on machine load.
   ViewConfig vc = adaptive_view(stm::Algo::kOrecEagerRedo);
   vc.adapt_interval = 256;
   vc.algo_adapt.enabled = true;
@@ -203,7 +206,8 @@ TEST(SwitchAlgorithm, AdaptiveStormTriggersNOrecFallback) {
       for (int i = 0; i < 60; ++i) {
         view.execute([&] {
           vadd<stm::Word>(cell, 1);
-          std::this_thread::yield();  // hold the orec across a reschedule
+          // Hold the orec across a reschedule.
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
         });
       }
     });

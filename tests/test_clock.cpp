@@ -1,7 +1,7 @@
-// VersionClock (stm/clock.hpp): policy semantics, quiescence slots, the
-// engines under GV1/GV4/GV5/GV6, read-only propagation from the
-// containers, and votm-check campaigns including the lost-GV4-CAS and
-// GV6-shard-lag fault plans.
+// VersionClock (stm/clock.hpp): policy semantics, GV5's per-thread commit
+// slots, the engines under GV1/GV4/GV5/GV6 (plus NOrec in the pair
+// stress), read-only propagation from the containers, and votm-check
+// campaigns including the lost-GV4-CAS and GV6-shard-lag fault plans.
 //
 // The unit/stress/container sections run in every configuration; the
 // exploration and fault-injection sections need the check harness
@@ -22,7 +22,6 @@
 #include "stm/clock.hpp"
 #include "stm/factory.hpp"
 #include "stm/orec_eager_redo.hpp"
-#include "util/thread_ordinal.hpp"
 
 namespace votm {
 namespace {
@@ -120,11 +119,8 @@ TEST(VersionClockUnit, Gv6SnapshotCoversCompletedCommits) {
   VersionClock clock(ClockPolicy::kGv6);
   const auto t = clock.tick(0);
   // tick_gv6 CAS-maxes the committer's own shard BEFORE the ticket
-  // returns, so any snapshot taken after a commit completes must cover it
-  // — this is what makes completed_commit_bound() safe for the MVCC
-  // horizon and retire_stamp().
+  // returns, so any snapshot taken after a commit completes must cover it.
   EXPECT_GE(clock.begin_snapshot(), t.end_time);
-  EXPECT_GE(clock.completed_commit_bound(), t.end_time);
 }
 
 TEST(VersionClockUnit, Gv6ExtensionBoundCoversObservedAndRefreshesCache) {
@@ -137,31 +133,24 @@ TEST(VersionClockUnit, Gv6ExtensionBoundCoversObservedAndRefreshesCache) {
   EXPECT_GE(clock.begin_snapshot(), bound);
 }
 
+// The per-thread commit slots publish monotonically. GV5's tick is their
+// only reader: it derives end_time from max(global, own slot, start) + 1,
+// so a late smaller note_commit must not pull the next timestamp back.
 TEST(VersionClockUnit, QuiescenceSlotsPublishMonotonically) {
-  VersionClock clock(ClockPolicy::kGv1);
-  EXPECT_EQ(clock.quiescence_horizon(), 0u);  // nobody published yet
+  VersionClock clock(ClockPolicy::kGv5);
   clock.note_commit(7);
-  EXPECT_EQ(clock.last_commit(thread_ordinal()), 7u);
   clock.note_commit(3);  // late smaller publish must not regress the slot
-  EXPECT_EQ(clock.last_commit(thread_ordinal()), 7u);
+  EXPECT_EQ(clock.tick(0).end_time, 8u);
   clock.note_commit(9);
-  EXPECT_EQ(clock.last_commit(thread_ordinal()), 9u);
-  EXPECT_EQ(clock.quiescence_horizon(), 9u);
-
-  // A second thread publishing a smaller timestamp pulls the horizon down
-  // (unless it aliases this thread's slot, which keeps the conservative
-  // direction anyway).
-  std::thread peer([&] { clock.note_commit(5); });
-  peer.join();
-  EXPECT_LE(clock.quiescence_horizon(), 9u);
-  EXPECT_GE(clock.quiescence_horizon(), 5u);
+  EXPECT_EQ(clock.tick(0).end_time, 10u);
 }
 
 // Writers keep word pairs equal while read-only transactions assert the
 // pair is never torn — on real threads, under every policy and orec
-// engine. This is the hardware-interleaving complement of the votm-check
-// sweeps below, and the adversarial case for GV5's future timestamps
-// (reader snapshots lag the writers' commit stamps until extension).
+// engine, plus NOrec (which ignores the policy). This is the
+// hardware-interleaving complement of the votm-check sweeps below, and the
+// adversarial case for GV5's future timestamps (reader snapshots lag the
+// writers' commit stamps until extension).
 void run_pair_stress(stm::Algo algo, ClockPolicy policy) {
   stm::EngineConfig cfg;
   cfg.clock_policy = policy;
@@ -222,6 +211,7 @@ TEST(ClockStress, PairSnapshotsHoldAcrossPoliciesAndEngines) {
       run_pair_stress(algo, policy);
     }
   }
+  run_pair_stress(stm::Algo::kNOrec, ClockPolicy::kGv1);
 }
 
 TEST(ClockStress, ClockAdvancesMonotonicallyUnderCommits) {
@@ -249,7 +239,10 @@ TEST(ClockStress, ClockAdvancesMonotonicallyUnderCommits) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(regressions.load(), 0u);
   for (unsigned i = 0; i < kThreads; ++i) EXPECT_EQ(slots[i], kTxs);
-  EXPECT_GE(engine.version_clock().quiescence_horizon(), 1u);
+  // Each thread's commit timestamps strictly increase (a win ticks past
+  // the post-lock load, a GV4 loser adopts a larger value), and the clock
+  // ends at or above every one of them.
+  EXPECT_GE(engine.clock(), kTxs);
 }
 
 // --- read-only propagation from the containers ----------------------------

@@ -1,8 +1,8 @@
 // Orec-table metadata knobs (stm/orec_table.hpp): granularity/layout
 // config semantics, factory sanitization, the packed-word lock round-trip
 // at both layouts, index_for aliasing shape, stripe-map agreement between
-// the table, the MVCC rings and the read-log dedup, NUMA placement
-// degradation, and votm-check walks over the knob matrix.
+// the table and the read-log dedup, NUMA placement degradation, and
+// votm-check walks over the knob matrix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -413,17 +413,8 @@ TEST(GranularityWalks, SnapshotConsistencyHoldsUnderStripeSharing) {
   }
 }
 
-// The MVCC rings index by the table's stripe map; the GV6 clock feeds its
-// horizon. Both composed with coarse stripes, under exploration.
-TEST(GranularityWalks, MvccAndGv6ComposeWithCoarseStripes) {
-  StmRandomConfig cfg;
-  cfg.algo = stm::Algo::kOrecEagerRedo;
-  cfg.orec_granularity_shift = 6;
-  cfg.mvcc = true;
-  StmRandomScenario mvcc_scenario(cfg);
-  const auto mvcc_report = explore_random(mvcc_scenario, 20, 0x6A53);
-  EXPECT_TRUE(mvcc_report.clean()) << mvcc_report.repro;
-
+// The GV6 clock composed with coarse, packed stripes, under exploration.
+TEST(GranularityWalks, Gv6ComposesWithCoarseStripes) {
   StmSnapshotConfig snap;
   snap.algo = stm::Algo::kOrecLazy;
   snap.orec_granularity_shift = 6;

@@ -12,7 +12,7 @@
 //     forced passes under allocation pressure);
 //   * TxHashMap dynamics: the satellite-1 zero/one-bucket regression,
 //     grow-under-load, and old tables retired through the epoch layer;
-//   * real-thread churn with long MVCC-pinned readers (ASan/TSan prey);
+//   * real-thread churn with long read-only scanners (ASan/TSan prey);
 //   * deterministic votm-check walks where doomed readers race a
 //     committing freer across the era advance (ReclaimRaceScenario).
 #include <gtest/gtest.h>
@@ -39,7 +39,6 @@ core::ViewConfig reclaim_config(stm::Algo algo, unsigned max_threads = 8) {
   vc.rac = core::RacMode::kFixed;
   vc.fixed_quota = max_threads;
   vc.initial_bytes = 1 << 20;
-  vc.engine.mvcc = true;  // pinned RO snapshots are the hard case
   return vc;
 }
 
@@ -91,27 +90,21 @@ TEST(LimboList, ReclaimsOnlyPastTheHorizon) {
   stm::LimboList limbo;
   int a = 0, b = 0;
   std::vector<void*> freed;
-  std::uint64_t ring_bound = 0;
   auto free_block = [&](void* p) { freed.push_back(p); };
-  auto retire_versions = [&](std::uint64_t bound) { ring_bound = bound; };
 
   epoch.enter();  // a live "transaction" that could still reach &a / &b
-  limbo.retire(epoch, &a, /*commit_ts=*/10);
-  limbo.retire(epoch, &b, /*commit_ts=*/25);
+  limbo.retire(epoch, &a);
+  limbo.retire(epoch, &b);
   EXPECT_EQ(limbo.depth(), 2u);
   // The pin is at the retiring era: nothing is eligible.
-  EXPECT_EQ(limbo.reclaim(epoch, /*force=*/true, free_block, retire_versions),
-            0u);
+  EXPECT_EQ(limbo.reclaim(epoch, /*force=*/true, free_block), 0u);
   EXPECT_TRUE(freed.empty());
   EXPECT_EQ(limbo.depth(), 2u);
 
   epoch.exit();
-  // No pins: one pass drains both, reporting the max commit stamp to the
-  // ring-retirement callback BEFORE any block is freed.
-  EXPECT_EQ(limbo.reclaim(epoch, /*force=*/true, free_block, retire_versions),
-            2u);
+  // No pins: one pass drains both.
+  EXPECT_EQ(limbo.reclaim(epoch, /*force=*/true, free_block), 2u);
   EXPECT_EQ(freed.size(), 2u);
-  EXPECT_EQ(ring_bound, 25u);
   EXPECT_EQ(limbo.depth(), 0u);
 
   const stm::ReclaimStats s = limbo.stats();
@@ -127,15 +120,14 @@ TEST(LimboList, FreshRetiresSurviveThePassThatMissedThem) {
   int a = 0;
   std::vector<void*> freed;
   auto free_block = [&](void* p) { freed.push_back(p); };
-  auto no_rings = [](std::uint64_t) {};
 
   // Retire with no pins at all, then pin AFTER: the pin is at a later
   // era, so the block is eligible — the pinning transaction began after
   // the unlink published and cannot reach it.
-  limbo.retire(epoch, &a, 1);
+  limbo.retire(epoch, &a);
   epoch.advance();
   epoch.enter();
-  EXPECT_EQ(limbo.reclaim(epoch, true, free_block, no_rings), 1u);
+  EXPECT_EQ(limbo.reclaim(epoch, true, free_block), 1u);
   epoch.exit();
   EXPECT_EQ(freed.size(), 1u);
 }
@@ -147,16 +139,15 @@ TEST(LimboList, StaleHorizonFaultDefersEverythingThenDrains) {
   int a = 0, b = 0;
   std::vector<void*> freed;
   auto free_block = [&](void* p) { freed.push_back(p); };
-  auto no_rings = [](std::uint64_t) {};
 
-  limbo.retire(epoch, &a, 1);
-  limbo.retire(epoch, &b, 2);
+  limbo.retire(epoch, &a);
+  limbo.retire(epoch, &b);
   {
     // Availability fault: the horizon read is maximally stale. The pass
     // must free NOTHING (deferring is always safe) and leave the limbo
     // bookkeeping intact.
     check::FaultGuard guard(check::FaultSite::kEpochStaleHorizon);
-    EXPECT_EQ(limbo.reclaim(epoch, true, free_block, no_rings), 0u);
+    EXPECT_EQ(limbo.reclaim(epoch, true, free_block), 0u);
     EXPECT_GT(check::FaultInjector::instance().triggers(
                   check::FaultSite::kEpochStaleHorizon),
               0u);
@@ -164,7 +155,7 @@ TEST(LimboList, StaleHorizonFaultDefersEverythingThenDrains) {
   EXPECT_TRUE(freed.empty());
   EXPECT_EQ(limbo.depth(), 2u);
   // Fault lifted: the same pass drains the backlog.
-  EXPECT_EQ(limbo.reclaim(epoch, true, free_block, no_rings), 2u);
+  EXPECT_EQ(limbo.reclaim(epoch, true, free_block), 2u);
   EXPECT_EQ(limbo.depth(), 0u);
 }
 #endif  // VOTM_SCHED_POINTS
@@ -310,9 +301,9 @@ class ReclaimChurn : public ::testing::TestWithParam<stm::Algo> {};
 
 // 6 writer threads churn insert/erase over a shared dynamic map (commit-
 // time frees + table growth) while 2 readers run long for_each scans —
-// with MVCC-lite on, those are exactly the pinned read-only snapshots the
-// grace period must wait out. Any premature reclaim is a poisoned-read
-// ASan report, a TSan race on the recycled block, or a corrupted walk.
+// read-only transactions whose epoch pins the grace period must wait
+// out. Any premature reclaim is a poisoned-read ASan report, a TSan race
+// on the recycled block, or a corrupted walk.
 TEST_P(ReclaimChurn, InsertEraseUnderPinnedReadersHasNoUseAfterFree) {
   core::ViewConfig vc = reclaim_config(GetParam(), 8);
   vc.reclaim_threshold = 8;  // keep passes hot in the background
@@ -414,24 +405,20 @@ constexpr stm::Algo kReclaimAlgos[] = {
 // inside values the workload wrote and drain limbo at quiescence.
 TEST(ReclaimCheck, DoomedReaderVsCommittingFreerAcrossEngines) {
   for (stm::Algo algo : kReclaimAlgos) {
-    for (const bool mvcc : {false, true}) {
-      ReclaimRaceConfig cfg;
-      cfg.algo = algo;
-      cfg.mvcc = mvcc;
-      ReclaimRaceScenario scenario(cfg);
-      const auto report = explore_random(scenario, 25, 0x5EED + mvcc);
-      EXPECT_TRUE(report.clean()) << report.repro;
-      EXPECT_GT(scenario.total_retired(), 0u)
-          << stm::to_string(algo) << (mvcc ? "+mvcc" : "")
-          << " :: nothing was ever retired (vacuous campaign)";
-    }
+    ReclaimRaceConfig cfg;
+    cfg.algo = algo;
+    ReclaimRaceScenario scenario(cfg);
+    const auto report = explore_random(scenario, 25, 0x5EED);
+    EXPECT_TRUE(report.clean()) << report.repro;
+    EXPECT_GT(scenario.total_retired(), 0u)
+        << stm::to_string(algo)
+        << " :: nothing was ever retired (vacuous campaign)";
   }
 }
 
 TEST(ReclaimCheck, ReplayOfARecordedScheduleIsDeterministic) {
   ReclaimRaceConfig cfg;
   cfg.algo = stm::Algo::kOrecEagerRedo;
-  cfg.mvcc = true;
   ReclaimRaceScenario scenario(cfg);
   SchedOptions opts;
   opts.seed = 0xEB0C;
@@ -451,7 +438,6 @@ TEST(ReclaimCheck, StaleHorizonWindowStallsButStaysSafe) {
     for (const std::uint64_t seed : {0x57A1Eu, 0x57A1Fu}) {
       ReclaimRaceConfig cfg;
       cfg.algo = algo;
-      cfg.mvcc = true;
       ReclaimRaceScenario scenario(cfg);
       const FaultPlan plan =
           inj.arm_seeded(FaultSite::kEpochStaleHorizon, seed,

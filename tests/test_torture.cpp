@@ -7,8 +7,8 @@
 // and never), while a mutator thread changes the admission quota mid-run
 // and — when the fault injector is compiled in — seeded windows of
 // kCmWaitTimeout, kCmWaitLostWakeup and kLimboWatermark fire underneath.
-// Each phase pins a different engine x clock-policy x contention-mode x
-// mvcc corner.
+// Each phase pins a different engine x clock-policy x contention-mode
+// corner.
 //
 // The assertions are the overload contract, not a throughput bar:
 //   * no wedge — every thread joins (a hang fails via the ctest timeout),
@@ -47,20 +47,19 @@ struct TorturePhase {
   stm::Algo algo;
   stm::ClockPolicy clock;
   stm::ContentionMode mode;
-  bool mvcc;
 };
 
 constexpr TorturePhase kPhases[] = {
     {stm::Algo::kNOrec, stm::ClockPolicy::kGv1,
-     stm::ContentionMode::kAbortRetry, false},
+     stm::ContentionMode::kAbortRetry},
     {stm::Algo::kOrecEagerRedo, stm::ClockPolicy::kGv4,
-     stm::ContentionMode::kWaitTimeout, false},
+     stm::ContentionMode::kWaitTimeout},
     {stm::Algo::kOrecLazy, stm::ClockPolicy::kGv6,
-     stm::ContentionMode::kWaitTimeout, true},
+     stm::ContentionMode::kWaitTimeout},
     {stm::Algo::kOrecEagerUndo, stm::ClockPolicy::kGv5,
-     stm::ContentionMode::kWaitTimeout, false},
+     stm::ContentionMode::kWaitTimeout},
     {stm::Algo::kTml, stm::ClockPolicy::kGv1,
-     stm::ContentionMode::kAbortRetry, false},
+     stm::ContentionMode::kAbortRetry},
 };
 
 void spin_for(std::chrono::nanoseconds d) {
@@ -80,7 +79,6 @@ void run_phase(const TorturePhase& p, unsigned phase_index,
   vc.initial_bytes = 1 << 18;
   vc.engine.clock_policy = p.clock;
   vc.engine.contention_mode = p.mode;
-  vc.engine.mvcc = p.mvcc;
   vc.engine.cm_wait_spin_limit = 256;  // short waits: more timeout paths
   vc.reclaim_threshold = 8;
   vc.limbo_soft_watermark = 24;
@@ -185,8 +183,7 @@ void run_phase(const TorturePhase& p, unsigned phase_index,
 #endif
 
   SCOPED_TRACE(std::string(stm::to_string(p.algo)) + "/" +
-               stm::to_string(p.clock) + "/" + stm::to_string(p.mode) +
-               (p.mvcc ? "+mvcc" : ""));
+               stm::to_string(p.clock) + "/" + stm::to_string(p.mode));
   // No leak: quiescent, one forced pass drains limbo completely and the
   // arena returns to its post-setup level.
   view.reclaim_garbage();

@@ -1,7 +1,8 @@
 // Integration tests of the View layer: execute() retry semantics, typed
 // accessors, lock mode (Q = 1), RAC quota behaviour under contention,
 // adaptive quota movement, transactional memory management, multi-view
-// independence, and user-exception handling.
+// independence, user-exception handling, and read-only walks under live
+// writers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -303,17 +304,30 @@ TEST(ViewRac, AdaptiveLowersQuotaUnderForcedContention) {
   View view(vc);
   auto* cell = static_cast<stm::Word*>(view.alloc(sizeof(stm::Word)));
 
+  // Bounds every hold below, so a view that stops counting aborts fails
+  // the quota check instead of hanging the test.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   constexpr unsigned kThreads = 8;
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < kThreads; ++t) {
     pool.emplace_back([&] {
       for (int i = 0; i < 50; ++i) {
         view.execute([&] {
-          // Encounter-time lock acquired at the write, then held across a
-          // reschedule: every other admitted thread burns aborted cycles
-          // against the held orec — the paper's near-livelock mechanism.
+          // Encounter-time lock acquired at the write, then held while
+          // every other admitted thread aborts against the held orec — the
+          // paper's near-livelock mechanism. Holding for three epochs'
+          // worth of aborts makes at least one whole epoch commit-free
+          // (delta = inf) at any retry rate; a yield would not, since it
+          // does not deschedule the holder while cores are idle. Lock mode
+          // (Q = 1) admits no peers to abort, so the hold ends there.
           vadd<stm::Word>(cell, 1);
-          std::this_thread::yield();
+          const std::uint64_t until =
+              view.stats().aborts + 3 * vc.adapt_interval;
+          while (view.stats().aborts < until && view.quota() > 1 &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
         });
       }
     });
@@ -526,6 +540,68 @@ TEST(MultiView, LockModeOnOneViewDoesNotBlockTheOther) {
   EXPECT_EQ(vread(ch), 1600u);
   EXPECT_EQ(vread(cc), 1600u);
   EXPECT_EQ(hot.stats().aborts, 0u);  // exclusive lock mode
+}
+
+// Writers keep every cell of an array equal through View::execute while a
+// reader sweeps it through View::run_read (the container read path): any
+// torn walk is a consistency failure. Covers all engines, including the
+// non-speculative TML/CGL.
+void run_view_walks(stm::Algo algo) {
+  SCOPED_TRACE(stm::to_string(algo));
+  ViewConfig vc;
+  vc.algo = algo;
+  vc.max_threads = 4;
+  vc.rac = RacMode::kFixed;
+  vc.fixed_quota = 4;
+  View view(vc);
+  constexpr unsigned kCells = 12;
+  constexpr unsigned kWriterTxs = 800;
+  constexpr unsigned kReads = 800;
+  auto* cells = static_cast<stm::Word*>(view.alloc(kCells * sizeof(stm::Word)));
+  view.execute([&] {
+    for (unsigned i = 0; i < kCells; ++i) vwrite<stm::Word>(&cells[i], 0);
+  });
+
+  std::atomic<std::uint64_t> torn{0};
+  std::thread writer([&] {
+    for (unsigned j = 1; j <= kWriterTxs; ++j) {
+      view.execute([&] {
+        for (unsigned i = 0; i < kCells; ++i) vwrite<stm::Word>(&cells[i], j);
+      });
+    }
+  });
+  std::thread reader([&] {
+    for (unsigned j = 0; j < kReads; ++j) {
+      const bool consistent = view.run_read([&] {
+        const stm::Word first = vread(&cells[0]);
+        for (unsigned i = 1; i < kCells; ++i) {
+          if (vread(&cells[i]) != first) return false;
+        }
+        return true;
+      });
+      if (!consistent) torn.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  writer.join();
+  reader.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  const bool final_ok = view.run_read([&] {
+    for (unsigned i = 0; i < kCells; ++i) {
+      if (vread(&cells[i]) != kWriterTxs) return false;
+    }
+    return true;
+  });
+  EXPECT_TRUE(final_ok);
+}
+
+TEST(ViewReadWalks, RunReadStaysConsistentUnderWriters) {
+  constexpr stm::Algo kAll[] = {
+      stm::Algo::kNOrec,        stm::Algo::kOrecEagerRedo,
+      stm::Algo::kOrecLazy,     stm::Algo::kOrecEagerUndo,
+      stm::Algo::kTml,          stm::Algo::kCgl,
+  };
+  for (stm::Algo algo : kAll) run_view_walks(algo);
 }
 
 }  // namespace
