@@ -1,9 +1,11 @@
 // Ablation: ownership-record table size (DESIGN.md Sec. 5.3).
 //
-// OrecEagerRedo hashes addresses into a fixed orec table; a smaller table
-// raises the false-conflict rate (distinct words sharing an orec). The
-// paper's Eigenbench view-2 is the sensitive case: its accesses spread over
-// a 16k-word hot array, so with few orecs unrelated accesses collide.
+// OrecEagerRedo hashes addresses into a fixed table of packed one-word
+// orecs, eight per cache line; a smaller table raises the false-conflict
+// rate (distinct words sharing an orec). The paper's Eigenbench view-2 is
+// the sensitive case: its accesses spread over a 16k-word hot array, so
+// with few orecs unrelated accesses collide. The sweep brackets the
+// default 32,768 orecs (256 KiB) from 64 up to 65,536.
 #include <iostream>
 
 #include "bench/harness.hpp"
@@ -20,7 +22,7 @@ int main(int argc, char** argv) {
 
   TextTable table("Orec table size ablation (cold Eigenbench view)");
   table.header({"orecs", "Runtime(s)", "#abort", "#tx", "delta(Q)"});
-  for (std::size_t orecs : {64u, 256u, 1024u, 4096u, 16384u}) {
+  for (std::size_t orecs : {64u, 256u, 1024u, 4096u, 16384u, 32768u, 65536u}) {
     eigen::WorldConfig wc = eigen_base_config(opts, stm::Algo::kOrecEagerRedo,
                                               eigen::Layout::kSingleView);
     wc.objects = {eigen::paper_view2()};  // low-contention object

@@ -1,6 +1,6 @@
 // A/B harness for the orec-table metadata knobs (stm/orec_table.hpp):
-// stripe granularity x table layout x clock policy, against the historical
-// default (word stripes, padded orecs, GV1).
+// stripe granularity x clock policy, against the default (word stripes,
+// GV1) on the default packed table.
 //
 // Cells:
 //   seq_scan     — spatially local transactions: each reads a contiguous
@@ -28,11 +28,7 @@
 //                  ALIGNING with the sharing pattern — this cell prices
 //                  the bet going wrong.
 //
-// Variants name the knob tuple "g<shift>+<layout>+<policy>"; the default
-// is g3+padded+gv1. A "numa-interleave" variant re-runs the default table
-// under NumaMode::kInterleave — on the single-node reference host the
-// policy degrades to the portable pre-faulted path (numa_nodes reports 1
-// in the JSON) and the cell pins that degradation at parity.
+// Variants name the knob pair "g<shift>+<policy>"; the default is g3+gv1.
 //
 // Methodology follows bench/micro_validation.cpp: throughput is commits
 // per CPU-second (CLOCK_THREAD_CPUTIME_ID summed over workers) so
@@ -57,7 +53,6 @@
 #include "util/cacheline.hpp"
 #include "util/cli.hpp"
 #include "util/cycles.hpp"
-#include "util/numa.hpp"
 
 namespace {
 
@@ -67,30 +62,18 @@ using stm::Word;
 
 // One knob tuple under test.
 struct Variant {
-  const char* name;  // "g3+padded+gv1" etc.; kVariants[0] is the default
+  const char* name;  // "g3+gv1" etc.; kVariants[0] is the default
   unsigned granularity_shift;
-  stm::OrecLayout layout;
   ClockPolicy policy;
-  NumaMode numa;
 };
 
 constexpr Variant kVariants[] = {
-    {"g3+padded+gv1", 3, stm::OrecLayout::kPadded, ClockPolicy::kGv1,
-     NumaMode::kNone},  // the default: every ratio is vs this row
-    {"g6+padded+gv1", 6, stm::OrecLayout::kPadded, ClockPolicy::kGv1,
-     NumaMode::kNone},
-    {"g7+padded+gv1", 7, stm::OrecLayout::kPadded, ClockPolicy::kGv1,
-     NumaMode::kNone},
-    {"g6+packed+gv1", 6, stm::OrecLayout::kPacked, ClockPolicy::kGv1,
-     NumaMode::kNone},
-    {"g3+packed+gv1", 3, stm::OrecLayout::kPacked, ClockPolicy::kGv1,
-     NumaMode::kNone},
-    {"g6+padded+gv6", 6, stm::OrecLayout::kPadded, ClockPolicy::kGv6,
-     NumaMode::kNone},
-    {"g3+padded+gv6", 3, stm::OrecLayout::kPadded, ClockPolicy::kGv6,
-     NumaMode::kNone},
-    {"numa-interleave", 3, stm::OrecLayout::kPadded, ClockPolicy::kGv1,
-     NumaMode::kInterleave},
+    // The default: every ratio is vs this row.
+    {"g3+gv1", 3, ClockPolicy::kGv1},
+    {"g6+gv1", 6, ClockPolicy::kGv1},
+    {"g7+gv1", 7, ClockPolicy::kGv1},
+    {"g6+gv6", 6, ClockPolicy::kGv6},
+    {"g3+gv6", 3, ClockPolicy::kGv6},
 };
 constexpr unsigned kNumVariants = sizeof(kVariants) / sizeof(kVariants[0]);
 
@@ -172,8 +155,6 @@ CellResult run_span(const std::string& workload, unsigned threads,
 stm::OrecTableConfig table_config(const Variant& v) {
   stm::OrecTableConfig cfg;
   cfg.granularity_shift = v.granularity_shift;
-  cfg.layout = v.layout;
-  cfg.numa = v.numa;
   return cfg;
 }
 
@@ -291,12 +272,12 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
   out << "{\n  \"bench\": \"micro_granularity\",\n";
   std::snprintf(
       buf, sizeof buf,
-      "  \"hardware_concurrency\": %u,\n  \"numa_nodes\": %u,\n"
+      "  \"hardware_concurrency\": %u,\n"
       "  \"cycles_per_second\": %.6g,\n  \"scan_txs\": %llu,\n"
       "  \"span_words\": %u,\n  \"neighbor_txs\": %llu,\n"
       "  \"neighbor_rmws\": %u,\n  \"yield_every\": %u,\n"
       "  \"repeats\": %u,\n  \"results\": [\n",
-      std::thread::hardware_concurrency(), numa_node_count(),
+      std::thread::hardware_concurrency(),
       cycles_per_second(), static_cast<unsigned long long>(p.scan_txs),
       p.span_words, static_cast<unsigned long long>(p.neighbor_txs),
       p.neighbor_rmws, p.yield_every, p.repeats);
@@ -335,8 +316,8 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
 
 int main(int argc, char** argv) {
   CliFlags flags(
-      "Orec-table metadata A/B microbench: stripe granularity x layout x "
-      "clock policy vs the g3+padded+gv1 default.");
+      "Orec-table metadata A/B microbench: stripe granularity x clock "
+      "policy vs the g3+gv1 default.");
   flags
       .flag("threads", "8", "contended thread count (seq_scan also runs at 1)")
       .flag("scan-txs", "400", "seq_scan transactions per thread")
@@ -376,15 +357,12 @@ int main(int argc, char** argv) {
 
   std::vector<unsigned> all_variants;
   for (unsigned i = 0; i < kNumVariants; ++i) all_variants.push_back(i);
-  // neighbor_rw only needs the default vs the stripe-sharing pair: the
-  // clock-policy and NUMA variants add nothing to the false-conflict story.
+  // neighbor_rw only needs the default vs stripe sharing: the clock-policy
+  // variants add nothing to the false-conflict story.
   std::vector<unsigned> neighbor_variants;
   for (unsigned i = 0; i < kNumVariants; ++i) {
     const std::string name = kVariants[i].name;
-    if (name == "g3+padded+gv1" || name == "g6+padded+gv1" ||
-        name == "g6+packed+gv1") {
-      neighbor_variants.push_back(i);
-    }
+    if (name == "g3+gv1" || name == "g6+gv1") neighbor_variants.push_back(i);
   }
 
   std::vector<CellResult> results;

@@ -105,9 +105,6 @@ std::string StmRandomScenario::name() const {
   if (cfg_.orec_granularity_shift != stm::OrecTable::kDefaultGranularityShift) {
     os << "+g" << cfg_.orec_granularity_shift;
   }
-  if (cfg_.orec_layout != stm::OrecLayout::kPadded) {
-    os << "+" << stm::to_string(cfg_.orec_layout);
-  }
   if (cfg_.contention_mode != stm::ContentionMode::kAbortRetry) os << "+wait";
   if (cfg_.cm_policy != stm::CmPolicy::kAbortSelf) {
     os << "+" << stm::to_string(cfg_.cm_policy);
@@ -120,7 +117,6 @@ Scenario::Outcome StmRandomScenario::run_once(const SchedOptions& opts) {
   stm::EngineConfig engine_cfg;
   engine_cfg.clock_policy = cfg_.clock_policy;
   engine_cfg.orec_granularity_shift = cfg_.orec_granularity_shift;
-  engine_cfg.orec_layout = cfg_.orec_layout;
   engine_cfg.contention_mode = cfg_.contention_mode;
   engine_cfg.cm_policy = cfg_.cm_policy;
   auto engine = stm::make_engine(cfg_.algo, engine_cfg);
@@ -207,9 +203,6 @@ std::string StmSnapshotScenario::name() const {
   if (cfg_.orec_granularity_shift != stm::OrecTable::kDefaultGranularityShift) {
     os << "+g" << cfg_.orec_granularity_shift;
   }
-  if (cfg_.orec_layout != stm::OrecLayout::kPadded) {
-    os << "+" << stm::to_string(cfg_.orec_layout);
-  }
   return os.str();
 }
 
@@ -218,7 +211,6 @@ Scenario::Outcome StmSnapshotScenario::run_once(const SchedOptions& opts) {
   stm::EngineConfig engine_cfg;
   engine_cfg.clock_policy = cfg_.clock_policy;
   engine_cfg.orec_granularity_shift = cfg_.orec_granularity_shift;
-  engine_cfg.orec_layout = cfg_.orec_layout;
   auto engine = stm::make_engine(cfg_.algo, engine_cfg);
   std::vector<stm::Word> mem(cfg_.vars, 0);
   const std::vector<stm::Word> initial = mem;
@@ -343,6 +335,10 @@ Scenario::Outcome AdmissionChurnScenario::run_once(const SchedOptions& opts) {
           }
         } else {
           ac.pause();
+          // Let a worker that loaded OPEN before the close publish its
+          // slot entry now: the ledger must stay exact for the whole
+          // pause, not only at the instant pause() returns.
+          sched_point(SchedPointId::kAdmWait);
           // pause() contract: the view is quiescent. Our own resident
           // count was decremented before each leave(), so a drained
           // ledger implies it is zero as well.

@@ -54,12 +54,11 @@ struct StmRandomConfig {
   // NOrec/TML/CGL. Named in the scenario string when not GV1, so repro
   // lines stay complete.
   stm::ClockPolicy clock_policy = stm::ClockPolicy::kGv1;
-  // Orec-table granularity/layout (orec engines; ignored elsewhere).
-  // Coarse granularity makes distinct variables share stripes, so the
-  // explored conflict graph changes shape — named in the scenario string
-  // when non-default, like the clock policy.
+  // Orec-table granularity (orec engines; ignored elsewhere). Coarse
+  // granularity makes distinct variables share stripes, so the explored
+  // conflict graph changes shape — named in the scenario string when
+  // non-default, like the clock policy.
   unsigned orec_granularity_shift = stm::OrecTable::kDefaultGranularityShift;
-  stm::OrecLayout orec_layout = stm::OrecLayout::kPadded;
   // Wait-based contention management (stm/contention.hpp). Under the
   // cooperative harness the wait is kCmWaitCoopBound yield points, so the
   // explored state machine gains park/re-check interleavings while staying
@@ -102,7 +101,6 @@ struct StmSnapshotConfig {
   stm::ClockPolicy clock_policy = stm::ClockPolicy::kGv1;
   // See StmRandomConfig — same knobs, same naming convention.
   unsigned orec_granularity_shift = stm::OrecTable::kDefaultGranularityShift;
-  stm::OrecLayout orec_layout = stm::OrecLayout::kPadded;
   unsigned max_attempts = 256;
 };
 

@@ -235,7 +235,10 @@ void AdmissionController::pause() {
       cv_.wait_for(lk, kDrainPoll);
     }
   }
+  // Every slot is drained and OPEN stays clear until resume() (or a later
+  // set_quota) reopens it, which clears this bit in the same CAS.
   state_.fetch_sub(kWOne, std::memory_order_relaxed);
+  state_.fetch_or(kDrainedBit, std::memory_order_acq_rel);
 }
 
 void AdmissionController::resume() {
@@ -393,6 +396,8 @@ void AdmissionController::acquire_serial() {
       }
     }
     state_.fetch_sub(kWOne, std::memory_order_relaxed);
+    // As in pause(): the slots are empty until release_serial() reopens.
+    state_.fetch_or(kDrainedBit, std::memory_order_acq_rel);
   }
   // Mutation fault: the token evaporates after the drain, so a peer can be
   // admitted while the "serial" transaction runs — exactly the bug class

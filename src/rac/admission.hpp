@@ -25,6 +25,8 @@
 //   bit  52         SERIAL (escalation ladder: a starving transaction holds
 //                          the serial token; admissions blocked, effective
 //                          Q = 1 while it runs irrevocably — DESIGN.md §14)
+//   bit  53         DRAINED (a hard close drained every slot, and OPEN has
+//                           not been set since: no slot resident exists)
 //
 // Gate-open mode: when Q == max_threads and the gate is neither paused nor
 // draining, admission can NEVER block — each of the <= max_threads threads
@@ -224,15 +226,14 @@ class AdmissionController {
     const std::uint64_t w = state_.load(std::memory_order_acquire);
     Sample s;
     s.quota = q_of(w);
-    s.admitted = p_of(w) + stripes_resident();
+    s.admitted = admitted_of(w);
     const std::uint64_t h = serial_holder_.load(std::memory_order_acquire);
     s.serial_holder = h == 0 ? -1 : static_cast<int>(h - 1);
     return s;
   }
   unsigned admitted() const {
     if (impl_ == AdmissionImpl::kMutex) return admitted_mutex();
-    return p_of(state_.load(std::memory_order_acquire)) +
-           stripes_resident();
+    return admitted_of(state_.load(std::memory_order_acquire));
   }
   unsigned max_threads() const noexcept { return max_threads_; }
   AdmissionImpl impl() const noexcept { return impl_; }
@@ -296,6 +297,7 @@ class AdmissionController {
   static constexpr std::uint64_t kOpenBit = std::uint64_t{1} << 50;
   static constexpr std::uint64_t kResidueBit = std::uint64_t{1} << 51;
   static constexpr std::uint64_t kSerialBit = std::uint64_t{1} << 52;
+  static constexpr std::uint64_t kDrainedBit = std::uint64_t{1} << 53;
 
   static unsigned p_of(std::uint64_t w) noexcept {
     return static_cast<unsigned>(w & kFieldMask);
@@ -375,14 +377,28 @@ class AdmissionController {
   // clamped to {0, 1} residency. Since out only grows, the per-slot value
   // is at most the residency at the in-load instant, so the sum is bounded
   // by max_threads — it may transiently MISS a resident entering mid-scan,
-  // which a health sampler tolerates and a drain poll must not.
+  // which a health sampler tolerates and a drain poll must not. It also
+  // counts a straggler between its in-store and its undo as a resident,
+  // which is why admitted_of() skips it once a drain has completed.
   unsigned stripes_resident() const noexcept;
+  // Admissions held in word w: P, plus the slot residents unless DRAINED
+  // says there are none. After a drain, a try_admit/admit straggler that
+  // loaded OPEN before the close can still publish in + 1; the heavy fence
+  // guarantees its re-check sees OPEN cleared and undoes it, so it never
+  // becomes a resident, but stripes_resident() would count it in between.
+  // pause() and acquire_serial() set DRAINED; set_quota's lock-mode drain
+  // waits for P only (residue residents may still sit in their slots), so
+  // it leaves the bit alone.
+  unsigned admitted_of(std::uint64_t w) const noexcept {
+    return p_of(w) + ((w & kDrainedBit) ? 0u : stripes_resident());
+  }
   // Sets OPEN (retiring any residue — the residents just become ordinary
   // slot residents again) when the word qualifies: Q == max_threads, gate
-  // not hard-closed, and the host supports the asymmetric fence.
+  // not hard-closed, and the host supports the asymmetric fence. Opening
+  // clears DRAINED in the same word: from here on slot entries can stick.
   std::uint64_t maybe_open(std::uint64_t w) const noexcept {
     if (open_ok_ && q_of(w) == max_threads_ && !hard_closed(w)) {
-      return (w & ~kResidueBit) | kOpenBit;
+      return (w & ~(kResidueBit | kDrainedBit)) | kOpenBit;
     }
     return w;
   }

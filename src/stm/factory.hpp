@@ -12,7 +12,6 @@
 #include "stm/contention.hpp"
 #include "stm/engine.hpp"
 #include "stm/orec_table.hpp"
-#include "util/numa.hpp"
 
 namespace votm::stm {
 
@@ -39,13 +38,6 @@ struct EngineConfig {
   // at the price of false conflicts between stripe-sharing neighbors;
   // bench/micro_granularity maps the tradeoff.
   unsigned orec_granularity_shift = OrecTable::kDefaultGranularityShift;
-  // One orec per cache line (padded; no metadata false sharing) or eight
-  // per line (packed; 8x stripes per cache footprint). See OrecLayout.
-  OrecLayout orec_layout = OrecLayout::kPadded;
-  // Placement of the orec-table backing store (util/numa.hpp): none /
-  // interleave / local. Degrades to pre-faulted aligned allocation on
-  // single-node hosts or when VOTM_NUMA is off.
-  NumaMode orec_numa = NumaMode::kNone;
   // NOrec commit-signature broadcast (validation filtering); the orec
   // engines' read-log dedup is a per-TxThread knob, not an engine one.
   // Default follows the VOTM_VALIDATION_FILTERS CMake option.

@@ -214,14 +214,12 @@ class OrecReadLog {
  public:
   OrecReadLog() { index_.assign(kInitialIndex, kEmpty); }
 
-  // Orecs are elements of one contiguous table (orec_table.hpp) at a
-  // power-of-two stride the table's layout knob picks: 64 B padded, 8 B
-  // packed. Dropping only the always-zero word bits and xor-folding the
-  // next-higher bits down keeps the hash well distributed for EITHER
-  // stride (the old `>> 6` turned packed-layout neighbors into identical
-  // hashes: eight-way probe pile-ups and a degenerate 64-bit signature).
-  // The fold is a bijection, so distinct orecs still never collide before
-  // the index mask is applied.
+  // Orecs are elements of one contiguous table (orec_table.hpp), packed at
+  // an 8 B stride. Dropping only the always-zero word bits and xor-folding
+  // the next-higher bits down keeps line-mates distinct (a `>> 6` hash gave
+  // all eight orecs of a line one value: eight-way probe pile-ups and a
+  // degenerate 64-bit signature). The fold is a bijection, so distinct
+  // orecs still never collide before the index mask is applied.
   static std::size_t orec_hash(const Orec* orec) noexcept {
     auto x = reinterpret_cast<std::uintptr_t>(orec) >> 3;
     x ^= x >> 3;

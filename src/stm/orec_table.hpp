@@ -13,12 +13,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <type_traits>
 
 #include "util/cacheline.hpp"
-#include "util/numa.hpp"
 
 namespace votm::stm {
 
@@ -68,54 +68,17 @@ class Orec {
 static_assert(sizeof(Orec) == sizeof(std::uintptr_t),
               "Orec must stay one packed word");
 static_assert(alignof(Orec) == alignof(std::uintptr_t),
-              "packed layout places orecs at word alignment");
-
-// How the orecs themselves are laid out in the table's backing store.
-//
-//   kPadded  one orec per cache line (the historical layout). Two
-//            transactions CASing/validating UNRELATED stripes never
-//            ping-pong a shared line — under a hash that scatters hot
-//            addresses uniformly, false sharing would otherwise be the
-//            common case, silently re-coupling metadata the engine's
-//            design says is independent. Costs 64 B/orec (256 KiB at the
-//            default 4096 stripes, per engine instance).
-//   kPacked  8 orecs per line, RSTM/TinySTM's classical layout. 8x the
-//            stripes per cache footprint: a validation scan over many
-//            stripes touches 1/8th the lines, at the price of metadata
-//            false sharing between neighboring stripes. Which side wins
-//            is workload-dependent — bench/micro_granularity measures it
-//            instead of asserting it.
-enum class OrecLayout : std::uint8_t {
-  kPadded,
-  kPacked,
-};
-
-inline const char* to_string(OrecLayout l) noexcept {
-  switch (l) {
-    case OrecLayout::kPadded: return "padded";
-    case OrecLayout::kPacked: return "packed";
-  }
-  return "?";
-}
-
-inline bool orec_layout_from_string(const char* s, OrecLayout* out) noexcept {
-  auto eq = [](const char* a, const char* b) noexcept {
-    for (; *a && *b; ++a, ++b) {
-      const char ca = (*a >= 'A' && *a <= 'Z') ? char(*a - 'A' + 'a') : *a;
-      if (ca != *b) return false;
-    }
-    return *a == '\0' && *b == '\0';
-  };
-  if (eq(s, "padded") || eq(s, "pad")) { *out = OrecLayout::kPadded; return true; }
-  if (eq(s, "packed") || eq(s, "pack")) { *out = OrecLayout::kPacked; return true; }
-  return false;
-}
+              "the table packs orecs at word alignment, 8 per cache line");
 
 // Construction knobs for one table. Implicitly convertible from a size so
 // the long-standing `OrecTable(1 << 12)` / engine `(size, policy, ...)`
 // call sites keep meaning what they always meant.
 struct OrecTableConfig {
-  static constexpr std::size_t kDefaultSize = std::size_t{1} << 12;
+  // 2^15 one-word orecs: 256 KiB per table, 8 orecs per cache line (the
+  // RSTM/TinySTM layout). A cold Eigenbench transaction reads ~215 and
+  // writes ~59 words; at 4,096 stripes nearly every pair of overlapping
+  // transactions aliased on some orec (DESIGN.md §5.3).
+  static constexpr std::size_t kDefaultSize = std::size_t{1} << 15;
   // log2(bytes of application memory per stripe): 3 = word (historical
   // default), 6 = cache line, 7 = two lines. Coarser stripes shrink the
   // read log / validation scan for spatially local access at the price of
@@ -127,8 +90,6 @@ struct OrecTableConfig {
 
   std::size_t size = kDefaultSize;
   unsigned granularity_shift = kDefaultGranularityShift;
-  OrecLayout layout = OrecLayout::kPadded;
-  NumaMode numa = NumaMode::kNone;
 
   OrecTableConfig() = default;
   // Intentionally implicit: a bare size IS a complete legacy config.
@@ -139,9 +100,13 @@ struct OrecTableConfig {
 // configured granularity; two distinct addresses may alias the same orec
 // (a legal over-approximation of conflicts, exactly as in RSTM/TinySTM).
 //
-// The backing store is a raw, cache-line aligned, NUMA-placed byte buffer
-// walked at a power-of-two stride (64 B padded / 8 B packed); see
-// OrecLayout above for the tradeoff the stride encodes.
+// The backing store is one cache-line aligned array of packed one-word
+// orecs, so neighboring stripes share a line. Two transactions on
+// unrelated neighbor stripes can ping-pong that line, but eight times the
+// stripes per byte removes far more false conflicts than the sharing
+// costs: in the same 256 KiB, 4,096 cache-line-padded orecs ran perfbench
+// `eigen-lock` at half the throughput (EXPERIMENTS.md, "Packed orec
+// table").
 class OrecTable {
  public:
   static constexpr std::size_t kDefaultSize = OrecTableConfig::kDefaultSize;
@@ -151,8 +116,6 @@ class OrecTable {
   explicit OrecTable(OrecTableConfig config = {})
       : mask_(config.size - 1),
         granularity_shift_(config.granularity_shift),
-        stride_shift_(config.layout == OrecLayout::kPadded ? 6u : 3u),
-        layout_(config.layout),
         size_(config.size) {
     // size must be a power of two for the mask to be a valid index map.
     // Direct constructions stay strict (tests pin this contract); the
@@ -165,16 +128,16 @@ class OrecTable {
       throw std::invalid_argument(
           "OrecTable granularity_shift out of range [3, 12]");
     }
-    numa_mode_ = config.numa;
-    buf_ = numa_allocate(size_ << stride_shift_, config.numa);
-    base_ = static_cast<std::byte*>(buf_.get());
-    for (std::size_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(base_ + (i << stride_shift_))) Orec();
-    }
+    // One pass: the value-initializing construction zeroes every orec and
+    // faults in every page here, not inside the first timed transaction.
+    orecs_.reset(static_cast<Orec*>(
+        ::operator new(size_ * sizeof(Orec), std::align_val_t{kCacheLine})));
+    std::uninitialized_value_construct_n(orecs_.get(), size_);
   }
 
-  // Orec is trivially destructible (a std::atomic word); the buffer just
-  // goes away with buf_. Assert so a future Orec member can't leak.
+  // Orec is trivially destructible (a std::atomic word), so releasing the
+  // storage is the whole teardown. Assert so a future Orec member can't
+  // leak.
   static_assert(std::is_trivially_destructible_v<Orec>);
 
   OrecTable(const OrecTable&) = delete;
@@ -194,28 +157,23 @@ class OrecTable {
     return static_cast<std::size_t>(x) & mask_;
   }
 
-  Orec& at(std::size_t index) noexcept {
-    return *reinterpret_cast<Orec*>(base_ + (index << stride_shift_));
-  }
+  Orec& at(std::size_t index) noexcept { return orecs_[index]; }
 
   std::size_t size() const noexcept { return size_; }
   unsigned granularity_shift() const noexcept { return granularity_shift_; }
-  OrecLayout layout() const noexcept { return layout_; }
-  NumaMode numa_mode() const noexcept { return numa_mode_; }
-  // True when a kernel placement policy actually landed (multi-node host,
-  // mbind accepted); single-node hosts honestly report false.
-  bool numa_policy_applied() const noexcept { return buf_.policy_applied(); }
-  std::size_t backing_bytes() const noexcept { return buf_.bytes(); }
+  std::size_t backing_bytes() const noexcept { return size_ * sizeof(Orec); }
 
  private:
+  struct AlignedDelete {
+    void operator()(Orec* p) const noexcept {
+      ::operator delete(p, std::align_val_t{kCacheLine});
+    }
+  };
+
   std::size_t mask_;
   unsigned granularity_shift_;
-  unsigned stride_shift_;  // log2 bytes between orecs: 6 padded, 3 packed
-  OrecLayout layout_;
-  NumaMode numa_mode_ = NumaMode::kNone;
   std::size_t size_;
-  NumaBuffer buf_;
-  std::byte* base_ = nullptr;
+  std::unique_ptr<Orec[], AlignedDelete> orecs_;
 };
 
 }  // namespace votm::stm

@@ -221,6 +221,24 @@ TEST(AdmissionChurn, NonPowerOfTwoWorkerCount) {
   EXPECT_TRUE(report.clean()) << report.repro;
 }
 
+TEST(AdmissionChurn, PauseLedgerIgnoresSlotStragglers) {
+  // A try_admit that loaded OPEN before pause() closed the gate publishes
+  // its slot entry after the drain and then undoes it. admitted() must not
+  // count it in between: the mutator reads the ledger at a schedule point
+  // after pause() returns, and enumeration reaches that interleaving.
+  AdmissionChurnConfig cfg;
+  cfg.workers = 2;
+  cfg.max_threads = 2;
+  cfg.initial_quota = 2;  // Q == max_threads: the gate opens
+  cfg.rounds = 1;
+  cfg.try_admit_every = 1;  // non-blocking workers keep the tree finite
+  cfg.program = {{AdmissionChurnStep::Op::kPause, 0}};
+  AdmissionChurnScenario scenario(cfg);
+  const auto report = explore_exhaustive(scenario, /*max_runs=*/50000);
+  EXPECT_TRUE(report.clean()) << report.repro;
+  EXPECT_TRUE(report.exhausted) << "tree larger than budget: " << report.runs;
+}
+
 TEST(AdmissionChurn, LockModeProgramExhaustive) {
   // Two workers against a mutator that drops to lock mode and back: small
   // enough to enumerate, and it covers the Q=1 drain edge completely.
