@@ -1,11 +1,12 @@
 // Ablation: ownership-record table size (DESIGN.md Sec. 5.3).
 //
-// OrecEagerRedo hashes addresses into a fixed table of packed one-word
-// orecs, eight per cache line; a smaller table raises the false-conflict
-// rate (distinct words sharing an orec). The paper's Eigenbench view-2 is
-// the sensitive case: its accesses spread over a 16k-word hot array, so
-// with few orecs unrelated accesses collide. The sweep brackets the
-// default 32,768 orecs (256 KiB) from 64 up to 65,536.
+// OrecEagerRedo maps addresses directly onto a fixed table of packed
+// one-word orecs, eight per cache line; a smaller table raises the
+// false-conflict rate (distinct words one table period apart share an
+// orec). The paper's Eigenbench view-2 is the sensitive case: its
+// accesses spread over a 16k-word hot array, so with few orecs unrelated
+// accesses collide. The sweep brackets the default 32,768 orecs
+// (256 KiB) from 64 up to 65,536.
 #include <iostream>
 
 #include "bench/harness.hpp"

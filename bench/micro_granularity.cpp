@@ -21,12 +21,14 @@
 //   neighbor_rw  — the deliberate worst case, reported honestly: each
 //                  thread read-modify-writes its OWN word, but the words
 //                  are adjacent in one cache line. At g3 distinct words
-//                  hash to distinct stripes and threads never conflict; at
-//                  g6 all eight words share a stripe, every encounter-time
-//                  lock collides, and throughput collapses into abort-
-//                  retry. Coarse granularity is a bet on spatial locality
-//                  ALIGNING with the sharing pattern — this cell prices
-//                  the bet going wrong.
+//                  map to distinct stripes and threads never conflict,
+//                  but the direct map puts those stripes on one orec line,
+//                  which ping-pongs along with the data line; at g6 all
+//                  eight words share a stripe, every encounter-time lock
+//                  collides, and the threads serialize through
+//                  abort-retry. Coarse granularity is a bet on spatial
+//                  locality ALIGNING with the sharing pattern — this cell
+//                  prices the bet going wrong.
 //
 // Variants name the knob pair "g<shift>+<policy>"; the default is g3+gv1.
 //
@@ -320,11 +322,15 @@ int main(int argc, char** argv) {
       "policy vs the g3+gv1 default.");
   flags
       .flag("threads", "8", "contended thread count (seq_scan also runs at 1)")
-      .flag("scan-txs", "400", "seq_scan transactions per thread")
+      .flag("scan-txs", "20000",
+            "seq_scan transactions per thread (every cell runs >= 200 ms "
+            "at --threads 4)")
       .flag("span", "2048",
             "consecutive shared words per seq_scan transaction (16 KiB; the "
             "read-log and validation-scan length at g3, 1/8 of it at g6)")
-      .flag("neighbor-txs", "4000", "neighbor_rw transactions per thread")
+      .flag("neighbor-txs", "750000",
+            "neighbor_rw transactions per thread (>= 200 ms per cell at "
+            "--threads 4)")
       .flag("neighbor-rmws", "4", "RMWs per neighbor_rw transaction")
       .flag("yield-every", "256",
             "in-tx yield cadence; keeps transactions overlapping on small "

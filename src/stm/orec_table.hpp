@@ -96,17 +96,16 @@ struct OrecTableConfig {
   OrecTableConfig(std::size_t s) noexcept : size(s) {}  // NOLINT
 };
 
-// Fixed-size hash-indexed orec array. Addresses map onto orecs at the
-// configured granularity; two distinct addresses may alias the same orec
-// (a legal over-approximation of conflicts, exactly as in RSTM/TinySTM).
+// Fixed-size, direct-mapped orec array. Addresses map onto orecs at the
+// configured granularity, modulo the table size; two distinct addresses
+// may alias the same orec (a legal over-approximation of conflicts,
+// exactly as in RSTM/TinySTM).
 //
 // The backing store is one cache-line aligned array of packed one-word
-// orecs, so neighboring stripes share a line. Two transactions on
-// unrelated neighbor stripes can ping-pong that line, but eight times the
-// stripes per byte removes far more false conflicts than the sharing
-// costs: in the same 256 KiB, 4,096 cache-line-padded orecs ran perfbench
-// `eigen-lock` at half the throughput (EXPERIMENTS.md, "Packed orec
-// table").
+// orecs, so neighboring stripes share a line. In the same 256 KiB,
+// packing took perfbench `eigen-lock` 2.0x past 4,096 cache-line-padded
+// orecs, and the direct map (index_for) another 1.5x past a mixing hash
+// (EXPERIMENTS.md, "Packed orec table" and "Direct-mapped orec table").
 class OrecTable {
  public:
   static constexpr std::size_t kDefaultSize = OrecTableConfig::kDefaultSize;
@@ -146,15 +145,17 @@ class OrecTable {
   Orec& for_address(const void* addr) noexcept { return at(index_for(addr)); }
 
   // The stripe index behind for_address, exposed so tests can inspect the
-  // address->stripe map directly. granularity_shift_ folds addresses
-  // that share a 2^shift-byte block onto one stripe BEFORE mixing, so the
-  // knob changes which addresses collide, not how well the hash spreads.
+  // address->stripe map directly. A direct map, as in RSTM and TinySTM:
+  // consecutive 2^shift-byte blocks take consecutive stripes, so the orec
+  // line of a stripe follows the data it covers. At g3 one data line's
+  // eight words own one orec line: a range that only one thread touches
+  // sits on orec lines no peer writes, and data that false-shares a line
+  // false-shares its orec line too. Aliasing is structured: addresses
+  // exactly size << shift bytes apart (256 KiB at the defaults) always
+  // share a stripe.
   std::size_t index_for(const void* addr) const noexcept {
-    auto x = reinterpret_cast<std::uintptr_t>(addr) >> granularity_shift_;
-    x ^= x >> 13;
-    x *= 0x9e3779b97f4a7c15ULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x) & mask_;
+    return (reinterpret_cast<std::uintptr_t>(addr) >> granularity_shift_) &
+           mask_;
   }
 
   Orec& at(std::size_t index) noexcept { return orecs_[index]; }

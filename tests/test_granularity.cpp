@@ -1,8 +1,9 @@
 // Orec-table metadata knobs (stm/orec_table.hpp): size/granularity
 // config semantics, factory sanitization, the default table's packed
-// footprint and stripe spread, the packed-word lock round-trip,
-// index_for aliasing shape, stripe-map agreement between the table and
-// the read-log dedup, and votm-check walks over the granularity knob.
+// footprint and stripe spread, the packed-word lock round-trip, the
+// direct map's index_for shape and its aliasing period, stripe-map
+// agreement between the table and the read-log dedup, and votm-check
+// walks over the granularity knob.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -153,10 +154,10 @@ TEST(OrecTableFootprint, DefaultPacksEightTimesTheStripesInto256KiB) {
 
 TEST(OrecTableFootprint, DefaultSpreadsAColdEigenViewOverDistinctStripes) {
   // The cold Eigenbench view (eigen::paper_view2) spans a1+a2+a3 = 40,960
-  // contiguous words. A well-mixed hash into 32,768 stripes leaves about
-  // 32,768 * (1 - e^-1.25) ~ 23,400 of them in use; a 4,096-stripe table
-  // could never exceed 4,096, so nearly every pair of cold transactions
-  // aliased somewhere.
+  // contiguous words. The direct map gives any 32,768 consecutive words
+  // 32,768 distinct stripes, so the view uses every stripe of the table,
+  // wherever it starts; a 4,096-stripe table could never exceed 4,096, so
+  // nearly every pair of cold transactions aliased somewhere.
   constexpr std::size_t kWords = 40960;
   std::vector<stm::Word> heap(kWords + 2 * 4099);
   OrecTable table;
@@ -166,13 +167,14 @@ TEST(OrecTableFootprint, DefaultSpreadsAColdEigenViewOverDistinctStripes) {
     for (std::size_t i = 0; i < kWords; ++i) {
       stripes.insert(table.index_for(&heap[skew + i]));
     }
-    EXPECT_GE(stripes.size(), 20000u) << "base skew " << skew << " words";
+    EXPECT_EQ(stripes.size(), table.size())
+        << "base skew " << skew << " words";
   }
 }
 
 TEST(OrecIndexing, AddressesInOneBlockShareAStripe) {
-  // The granularity shift folds a 2^shift-byte block onto one stripe key
-  // BEFORE the mix, so intra-block aliasing is exact, not probabilistic.
+  // The granularity shift folds a 2^shift-byte block onto one stripe, so
+  // intra-block aliasing is exact, not probabilistic.
   alignas(4096) static std::byte block[8192];
   for (unsigned shift : {3u, 6u, 12u}) {
     OrecTable table(make_config(256, shift));
@@ -182,10 +184,78 @@ TEST(OrecIndexing, AddressesInOneBlockShareAStripe) {
       EXPECT_EQ(table.index_for(&block[off]), base_idx)
           << "shift=" << shift << " off=" << off;
     }
-    // The next block is free to land anywhere — but index_for must still
-    // be a pure function of the block id.
+    // index_for must be a pure function of the block id.
     EXPECT_EQ(table.index_for(&block[bytes]),
               table.index_for(&block[bytes + 8 % bytes]));
+  }
+}
+
+TEST(OrecIndexing, ConsecutiveWordsTakeConsecutiveStripes) {
+  // The direct map: block i + 1 owns the stripe after block i's, modulo
+  // the table. At g3 that is every word of a 64 KiB array, at g6 every
+  // 64-byte block of it, at g12 every page.
+  constexpr std::size_t kBytes = std::size_t{64} << 10;
+  alignas(64) static std::byte array[kBytes];
+  for (unsigned shift : {3u, 6u, 12u}) {
+    OrecTable table(make_config(OrecTable::kDefaultSize, shift));
+    const std::size_t mask = table.size() - 1;
+    const std::size_t step = std::size_t{1} << shift;
+    std::size_t matched = 0;
+    std::size_t pairs = 0;
+    for (std::size_t off = 0; off + step < kBytes; off += step, ++pairs) {
+      if (table.index_for(&array[off + step]) ==
+          ((table.index_for(&array[off]) + 1) & mask)) {
+        ++matched;
+      }
+    }
+    EXPECT_EQ(pairs, kBytes / step - 1);
+    EXPECT_EQ(matched, pairs) << "g" << shift;
+  }
+}
+
+TEST(OrecIndexing, PrivateRangesOwnDisjointOrecLines) {
+  // Eigenbench's cold arrays at N = 4: four contiguous, line-aligned
+  // 64 KiB arrays, one per thread. Under the direct map at the default
+  // table each array owns 1,024 whole orec lines (8 orecs each) that no
+  // other array touches, so no peer's lock CAS or unlock store ever
+  // invalidates a line a thread's private accesses need.
+  constexpr std::size_t kArrays = 4;
+  constexpr std::size_t kBytes = std::size_t{64} << 10;
+  alignas(64) static std::byte arrays[kArrays * kBytes];
+  OrecTable table;
+  std::vector<std::set<std::size_t>> lines(kArrays);
+  for (std::size_t a = 0; a < kArrays; ++a) {
+    for (std::size_t off = 0; off < kBytes; off += sizeof(stm::Word)) {
+      lines[a].insert(table.index_for(&arrays[a * kBytes + off]) >> 3);
+    }
+    EXPECT_EQ(lines[a].size(), 1024u) << "array " << a;
+  }
+  for (std::size_t a = 0; a < kArrays; ++a) {
+    for (std::size_t b = a + 1; b < kArrays; ++b) {
+      std::size_t shared = 0;
+      for (std::size_t line : lines[a]) shared += lines[b].count(line);
+      EXPECT_EQ(shared, 0u) << "arrays " << a << " and " << b;
+    }
+  }
+}
+
+TEST(OrecIndexing, AddressesOnePeriodApartShareAStripe) {
+  // The price of the direct map: aliasing is structured. Addresses exactly
+  // size << shift bytes apart (256 KiB at the default g3, 2 MiB at g6)
+  // always share a stripe; half a period apart they never do. index_for
+  // never dereferences, so synthetic addresses suffice.
+  alignas(64) static stm::Word word;
+  const auto base = reinterpret_cast<std::uintptr_t>(&word);
+  for (unsigned shift : {3u, 6u}) {
+    OrecTable table(make_config(OrecTable::kDefaultSize, shift));
+    const std::uintptr_t period = std::uintptr_t{table.size()} << shift;
+    const auto at = [&](std::uintptr_t addr) {
+      return table.index_for(reinterpret_cast<const void*>(addr));
+    };
+    for (std::uintptr_t k : {1u, 2u, 7u}) {
+      EXPECT_EQ(at(base + k * period), at(base)) << "g" << shift << " k=" << k;
+    }
+    EXPECT_NE(at(base + period / 2), at(base)) << "g" << shift;
   }
 }
 
@@ -203,21 +273,22 @@ TEST(OrecIndexing, AliasingHistogramsMatchGranularity) {
   OrecTable g3(make_config(4096, 3));
   OrecTable g6(make_config(4096, 6));
 
-  // Sequential word walk: 4096 words are 4096 distinct g3 keys but only
+  // Sequential word walk: 4096 words are 4096 distinct g3 blocks but only
   // 512 distinct cache-line blocks, so g6 folds them 8:1 by construction.
+  // The direct map gives one table's worth of consecutive blocks one
+  // stripe each.
   const std::size_t seq3 = distinct_stripes(g3, arena, 4096, 8);
   const std::size_t seq6 = distinct_stripes(g6, arena, 4096, 8);
-  EXPECT_GT(seq3, 2000u);  // ~4096*(1-1/e) for a well-mixed hash
-  EXPECT_LE(seq6, 512u);   // hard cap: one stripe key per block
-  EXPECT_GT(seq6, 300u);   // ...but the 512 keys still spread
+  EXPECT_EQ(seq3, 4096u);
+  EXPECT_EQ(seq6, 512u);
 
-  // Strided walk, one word per cache line: both granularities see one key
-  // per sample, so the spread must be comparable — the knob changes which
-  // addresses collide, not how well the hash mixes.
+  // Strided walk, one word per cache line: both granularities see one
+  // block per sample and fewer samples than stripes, so neither aliases —
+  // the knob changes which addresses collide, not how they spread.
   const std::size_t strided3 = distinct_stripes(g3, arena, 512, 64);
   const std::size_t strided6 = distinct_stripes(g6, arena, 512, 64);
-  EXPECT_GT(strided3, 300u);
-  EXPECT_GT(strided6, 300u);
+  EXPECT_EQ(strided3, 512u);
+  EXPECT_EQ(strided6, 512u);
 
   // Heap-like scatter: random 8-aligned addresses over a wide range must
   // not pile up on a few stripes at any granularity.
