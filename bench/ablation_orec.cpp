@@ -5,8 +5,8 @@
 // false-conflict rate (distinct words one table period apart share an
 // orec). The paper's Eigenbench view-2 is the sensitive case: its
 // accesses spread over a 16k-word hot array, so with few orecs unrelated
-// accesses collide. The sweep brackets the default 32,768 orecs
-// (256 KiB) from 64 up to 65,536.
+// accesses collide. The sweep runs from 64 orecs up to the default
+// 65,536 (a 512 KiB period, mapped lazily).
 #include <iostream>
 
 #include "bench/harness.hpp"

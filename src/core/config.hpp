@@ -61,8 +61,11 @@ struct ViewConfig {
   // (default), or the legacy mutex gate kept as the A/B baseline for
   // bench/micro_admission.
   rac::AdmissionImpl admission_impl = rac::AdmissionImpl::kAtomic;
-  // cpu_relax budget an admission spends waiting for a slot before parking
-  // on the condvar (only reached when the view is full or paused).
+  // Total cpu_relax budget an admission spends waiting for a slot before
+  // parking on the condvar (only reached when the view is full or paused).
+  // Past AdmissionController::kShortSpin iterations only a lock-mode
+  // (Q = 1) waiter spins on; a budget up to kShortSpin parks as soon as it
+  // is spent.
   unsigned admission_spin = rac::AdmissionController::kDefaultSpinBudget;
 
   // Per-view stats stripe count (rounded up to a power of two, capped at

@@ -160,15 +160,33 @@ unsigned AdmissionController::admit_contended() {
   // (another thread's leave() is one plain store or fetch_sub away).
   // Windows grow exponentially so a near-miss retries fast while a full
   // view backs off. try_admit carries the full admission logic (gate-open
-  // slots, residue accounting, plain CAS gate).
+  // slots, residue accounting, plain CAS gate) and reads the word before
+  // any CAS, so a retry at a full view costs one load.
+  //
+  // Past kShortSpin only a waiter at a Q = 1 gate spins on, to the whole
+  // budget, retrying after every cpu_relax: the view is serial, so a
+  // handoff to a spinning successor saves the view a futex wake per
+  // critical section. At Q >= 2 the view is not serial, and spinners only
+  // take CPU time from the admitted transactions and from other views (at
+  // N = 16 on 4 CPUs they made Table V's Q1 = 2 column about 1.3x
+  // slower), so those waiters park.
+  const unsigned short_budget = std::min(spin_budget_, kShortSpin);
+  unsigned budget = short_budget;
   unsigned spent = 0;
   unsigned window = 1;
-  while (spent < spin_budget_) {
-    for (unsigned i = 0; i < window && spent < spin_budget_; ++i, ++spent) {
+  while (spent < budget) {
+    for (unsigned i = 0; i < window && spent < budget; ++i, ++spent) {
       Backoff::cpu_relax();
     }
-    window = window < 64 ? window * 2 : 64;
     if (try_admit(&q)) return q;
+    if (budget == short_budget) {
+      window = window < 64 ? window * 2 : 64;
+      if (spent == short_budget &&
+          q_of(state_.load(std::memory_order_relaxed)) == 1) {
+        budget = spin_budget_;
+        window = 1;
+      }
+    }
   }
   return admit_park();
 }

@@ -57,12 +57,16 @@
 // release. The gated CAS path keeps the seed behaviour of tolerating a
 // cross-thread leave (the drain tests use it at Q < max_threads).
 //
-// When the view is full or paused, admit() spins briefly (bounded budget,
-// exponential cpu_relax windows) and then parks on a condvar: the paper runs
-// N = 16 threads and the quota may be 1, so up to 15 threads can be blocked
-// at once — unbounded spinning would destroy the lock-mode (Q = 1) results
-// on an oversubscribed host. leave() wakes parked threads only when W > 0;
-// the common no-waiter exit is mutex- and syscall-free.
+// When the view is full or paused, admit() spins for a bounded budget and
+// then parks on a condvar. The first kShortSpin iterations (exponential
+// cpu_relax windows) retry a near miss. The rest of the budget goes only to
+// a waiter at a lock-mode (Q = 1) gate, which retries after every
+// cpu_relax, so the handoff lands on a running thread instead of paying a
+// futex wake (about one lock-mode critical section on a 4-vCPU host).
+// Every other waiter parks: at Q >= 2 spinners take CPU time from the
+// admitted transactions, which on an oversubscribed host (the paper runs
+// N = 16 threads) slows the view. leave() wakes parked threads only when
+// W > 0; the common no-waiter exit is mutex- and syscall-free.
 //
 // The legacy mutex+condvar implementation is kept behind
 // AdmissionImpl::kMutex as the A/B baseline for bench/micro_admission.
@@ -90,9 +94,10 @@ enum class AdmissionImpl : std::uint8_t {
 class AdmissionController {
  public:
   // Spin budget: cpu_relax iterations spent waiting for a slot before
-  // parking. Small by default — on an oversubscribed host the holder is
-  // likely descheduled and spinning only delays it further.
-  static constexpr unsigned kDefaultSpinBudget = 128;
+  // parking. Past kShortSpin only a waiter at a Q = 1 gate spins on, so a
+  // budget up to kShortSpin parks every waiter as soon as it is spent.
+  static constexpr unsigned kDefaultSpinBudget = 1024;
+  static constexpr unsigned kShortSpin = 128;
 
   // initial_quota is clamped to [1, max_threads].
   AdmissionController(unsigned max_threads, unsigned initial_quota,

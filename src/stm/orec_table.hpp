@@ -10,6 +10,8 @@
 //   locked:   (owner-pointer | 1)   -- LSB 1, owner is the TxThread
 #pragma once
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -17,8 +19,6 @@
 #include <new>
 #include <stdexcept>
 #include <type_traits>
-
-#include "util/cacheline.hpp"
 
 namespace votm::stm {
 
@@ -74,11 +74,13 @@ static_assert(alignof(Orec) == alignof(std::uintptr_t),
 // the long-standing `OrecTable(1 << 12)` / engine `(size, policy, ...)`
 // call sites keep meaning what they always meant.
 struct OrecTableConfig {
-  // 2^15 one-word orecs: 256 KiB per table, 8 orecs per cache line (the
-  // RSTM/TinySTM layout). A cold Eigenbench transaction reads ~215 and
-  // writes ~59 words; at 4,096 stripes nearly every pair of overlapping
-  // transactions aliased on some orec (DESIGN.md §5.3).
-  static constexpr std::size_t kDefaultSize = std::size_t{1} << 15;
+  // 2^16 one-word orecs: a 512 KiB period per table, 8 orecs per cache
+  // line (the RSTM/TinySTM layout). Pages are mapped lazily, so a table
+  // costs one resident orec page per eight data pages its view writes
+  // through TM, not 512 KiB (DESIGN.md §5.3). At 2^15 stripes perfbench's
+  // cold Eigenbench view (65,536 words) folded peers' shared arrays onto
+  // each worker's private words: 0.26-0.32 aborts per commit, not 0.016.
+  static constexpr std::size_t kDefaultSize = std::size_t{1} << 16;
   // log2(bytes of application memory per stripe): 3 = word (historical
   // default), 6 = cache line, 7 = two lines. Coarser stripes shrink the
   // read log / validation scan for spatially local access at the price of
@@ -101,11 +103,11 @@ struct OrecTableConfig {
 // may alias the same orec (a legal over-approximation of conflicts,
 // exactly as in RSTM/TinySTM).
 //
-// The backing store is one cache-line aligned array of packed one-word
-// orecs, so neighboring stripes share a line. In the same 256 KiB,
-// packing took perfbench `eigen-lock` 2.0x past 4,096 cache-line-padded
-// orecs, and the direct map (index_for) another 1.5x past a mixing hash
-// (EXPERIMENTS.md, "Packed orec table" and "Direct-mapped orec table").
+// The backing store is one private anonymous mapping of packed one-word
+// orecs, so neighboring stripes share a line. In 256 KiB, packing took
+// perfbench `eigen-lock` 2.0x past 4,096 cache-line-padded orecs, and the
+// direct map (index_for) another 1.5x past a mixing hash (EXPERIMENTS.md,
+// "Packed orec table" and "Direct-mapped orec table").
 class OrecTable {
  public:
   static constexpr std::size_t kDefaultSize = OrecTableConfig::kDefaultSize;
@@ -127,16 +129,22 @@ class OrecTable {
       throw std::invalid_argument(
           "OrecTable granularity_shift out of range [3, 12]");
     }
-    // One pass: the value-initializing construction zeroes every orec and
-    // faults in every page here, not inside the first timed transaction.
-    orecs_.reset(static_cast<Orec*>(
-        ::operator new(size_ * sizeof(Orec), std::align_val_t{kCacheLine})));
-    std::uninitialized_value_construct_n(orecs_.get(), size_);
+    // The kernel zero-fills the mapping, and a zero word is an unlocked
+    // orec at version 0, so nothing is written here: a page becomes
+    // resident when a transaction first locks one of its stripes (a read
+    // maps the shared zero page). Huge pages are declined so residency
+    // stays page by page on hosts that default THP on.
+    void* p = ::mmap(nullptr, backing_bytes(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+#ifdef MADV_NOHUGEPAGE
+    ::madvise(p, backing_bytes(), MADV_NOHUGEPAGE);
+#endif
+    orecs_ = {static_cast<Orec*>(p), Unmap{backing_bytes()}};
   }
 
-  // Orec is trivially destructible (a std::atomic word), so releasing the
-  // storage is the whole teardown. Assert so a future Orec member can't
-  // leak.
+  // Orec is trivially destructible (a std::atomic word), so unmapping is
+  // the whole teardown. Assert so a future Orec member can't leak.
   static_assert(std::is_trivially_destructible_v<Orec>);
 
   OrecTable(const OrecTable&) = delete;
@@ -151,7 +159,7 @@ class OrecTable {
   // eight words own one orec line: a range that only one thread touches
   // sits on orec lines no peer writes, and data that false-shares a line
   // false-shares its orec line too. Aliasing is structured: addresses
-  // exactly size << shift bytes apart (256 KiB at the defaults) always
+  // exactly size << shift bytes apart (512 KiB at the defaults) always
   // share a stripe.
   std::size_t index_for(const void* addr) const noexcept {
     return (reinterpret_cast<std::uintptr_t>(addr) >> granularity_shift_) &
@@ -165,16 +173,15 @@ class OrecTable {
   std::size_t backing_bytes() const noexcept { return size_ * sizeof(Orec); }
 
  private:
-  struct AlignedDelete {
-    void operator()(Orec* p) const noexcept {
-      ::operator delete(p, std::align_val_t{kCacheLine});
-    }
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(Orec* p) const noexcept { ::munmap(p, bytes); }
   };
 
   std::size_t mask_;
   unsigned granularity_shift_;
   std::size_t size_;
-  std::unique_ptr<Orec[], AlignedDelete> orecs_;
+  std::unique_ptr<Orec[], Unmap> orecs_{nullptr, Unmap{0}};
 };
 
 }  // namespace votm::stm

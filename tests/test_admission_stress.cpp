@@ -11,13 +11,17 @@
 //     and no lock-mode holder coexists with a transactional admission,
 //   - pause() returns only once the view is empty,
 //   - raising the quota from 1 blocks until the lock-mode holder drains,
-//   - after all workers join, admits == leaves and admitted() == 0.
+//   - after all workers join, admits == leaves and admitted() == 0,
+//   - at twice the host's CPUs through a Q = 1 gate, a plain counter bumped
+//     inside stays exact at every spin budget (the atomic gate's lock-mode
+//     spin phase).
 //
 // Violations are counted in atomics and asserted once at the end: gtest
 // EXPECT_* is not thread-safe, and a counter keeps the hot loop cheap
 // enough to stress the admission word rather than the test harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "rac/admission.hpp"
+#include "util/backoff.hpp"
 #include "util/barrier.hpp"
 #include "util/rng.hpp"
 
@@ -329,6 +334,66 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AdmissionImpl>& info) {
       return info.param == AdmissionImpl::kAtomic ? "atomic" : "mutex";
     });
+
+// The lock-mode spin phase (atomic gate only): past kShortSpin a waiter at a
+// Q = 1 gate spins on to the whole budget, retrying after every cpu_relax.
+struct LockModeRun {
+  std::uint64_t counter = 0;  // plain: only the Q = 1 holder touches it
+  unsigned finished = 0;      // threads that completed every admission
+  int quota_violations = 0;   // admissions that did not observe Q = 1
+};
+
+// `threads` threads each pass `admissions` times through the Q = 1 gate,
+// holding it for `hold` cpu_relax iterations.
+LockModeRun run_lock_mode_gate(AdmissionController& ac, unsigned threads,
+                               int admissions, int hold) {
+  std::uint64_t counter = 0;
+  std::atomic<unsigned> finished{0};
+  std::atomic<int> quota_violations{0};
+  StartBarrier start(threads + 1);
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) {
+    pool.emplace_back([&] {
+      start.arrive_and_wait();
+      for (int i = 0; i < admissions; ++i) {
+        if (ac.admit() != 1) {
+          quota_violations.fetch_add(1, std::memory_order_relaxed);
+        }
+        ++counter;
+        for (int k = 0; k < hold; ++k) Backoff::cpu_relax();
+        ac.leave();
+      }
+      finished.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  start.arrive_and_wait();
+  for (auto& th : pool) th.join();
+  return {counter, finished.load(), quota_violations.load()};
+}
+
+TEST(AdmissionSpin, OversubscribedLockModeGateStaysExact) {
+  // Twice the host's CPUs through one Q = 1 gate. The plain counter is
+  // exact only if every handoff, to a spinning waiter's try_admit or to a
+  // parked waiter's wakeup, is a real exclusive hand-over (TSan also
+  // checks the happens-before edge). A budget of 1 parks every waiter at
+  // once (the lost-notify fault tests in test_fault.cpp rely on it),
+  // kShortSpin parks after the short phase, and the default spins on.
+  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned threads = 2 * cpus;
+  constexpr int kAdmissions = 2000;
+  for (const unsigned budget : {1u, AdmissionController::kShortSpin,
+                                AdmissionController::kDefaultSpinBudget}) {
+    AdmissionController ac(threads, 1, AdmissionImpl::kAtomic, budget);
+    ASSERT_EQ(ac.quota(), 1u);
+    const LockModeRun run = run_lock_mode_gate(ac, threads, kAdmissions, 64);
+    EXPECT_EQ(run.counter, std::uint64_t{threads} * kAdmissions)
+        << "budget " << budget;
+    EXPECT_EQ(run.finished, threads) << "budget " << budget;
+    EXPECT_EQ(run.quota_violations, 0) << "budget " << budget;
+    EXPECT_EQ(ac.admitted(), 0u) << "budget " << budget;
+  }
+}
 
 }  // namespace
 }  // namespace votm::rac

@@ -1,11 +1,14 @@
 // Orec-table metadata knobs (stm/orec_table.hpp): size/granularity
 // config semantics, factory sanitization, the default table's packed
-// footprint and stripe spread, the packed-word lock round-trip, the
-// direct map's index_for shape and its aliasing period, stripe-map
-// agreement between the table and the read-log dedup, and votm-check
-// walks over the granularity knob.
+// footprint, stripe spread and lazy residency, the packed-word lock
+// round-trip, the direct map's index_for shape and its aliasing period,
+// stripe-map agreement between the table and the read-log dedup, and
+// votm-check walks over the granularity knob.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -13,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "eigenbench/params.hpp"
 #include "stm/engine.hpp"
 #include "stm/factory.hpp"
 #include "stm/logs.hpp"
@@ -136,40 +140,81 @@ TEST(OrecPacking, LockRoundTripAtBothLayouts) {
   EXPECT_FALSE(Orec::is_locked(Orec::pack_version(big)));
 }
 
-TEST(OrecTableFootprint, DefaultPacksEightTimesTheStripesInto256KiB) {
-  // 2^15 one-word orecs, eight per cache line: the 256 KiB that 4,096
-  // cache-line-padded orecs used to take.
+TEST(OrecTableFootprint, DefaultPacksEightOrecsPerLineInto512KiB) {
+  // 2^16 one-word orecs, eight per cache line: a 512 KiB period, mapped
+  // from the kernel's zero pages.
   OrecTable table;
-  EXPECT_EQ(table.size(), std::size_t{1} << 15);
-  EXPECT_EQ(table.backing_bytes(), std::size_t{256} << 10);
-  EXPECT_EQ(table.backing_bytes(), std::size_t{4096} * 64);
+  EXPECT_EQ(table.size(), std::size_t{1} << 16);
+  EXPECT_EQ(table.backing_bytes(), std::size_t{512} << 10);
+  EXPECT_EQ(table.backing_bytes(), std::size_t{8192} * 64);
   EXPECT_EQ(&table.at(1) - &table.at(0), 1);
-  // Line-aligned base: each line holds exactly eight whole orecs.
+  // Page-aligned base (so line-aligned): each line holds exactly eight
+  // whole orecs, and each page 512.
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&table.at(0)) % 64, 0u);
-  // Value-initialized: every stripe starts unlocked at version 0.
-  for (std::size_t i : {std::size_t{0}, std::size_t{7}, table.size() - 1}) {
-    EXPECT_EQ(table.at(i).load(), Orec::pack_version(0)) << "orec " << i;
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&table.at(0)) % page, 0u);
+  // Zero-initialized: every stripe starts unlocked at version 0.
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (table.at(i).load() != Orec::pack_version(0)) ++nonzero;
   }
+  EXPECT_EQ(nonzero, 0u);
 }
 
 TEST(OrecTableFootprint, DefaultSpreadsAColdEigenViewOverDistinctStripes) {
-  // The cold Eigenbench view (eigen::paper_view2) spans a1+a2+a3 = 40,960
-  // contiguous words. The direct map gives any 32,768 consecutive words
-  // 32,768 distinct stripes, so the view uses every stripe of the table,
-  // wherever it starts; a 4,096-stripe table could never exceed 4,096, so
-  // nearly every pair of cold transactions aliased somewhere.
-  constexpr std::size_t kWords = 40960;
-  std::vector<stm::Word> heap(kWords + 2 * 4099);
+  // perfbench's cold Eigenbench view (eigen::paper_view2 with 4 workers)
+  // allocates a1 + a2 + 4 * a3 = 65,536 contiguous words. The direct map
+  // gives any 65,536 consecutive words 65,536 distinct stripes, so no two
+  // words of the view share an orec, wherever it starts. At 2^15 stripes
+  // the shared arrays folded onto the workers' private ones.
+  const eigen::ObjectParams cold = eigen::paper_view2();
+  const std::size_t words = cold.a1 + cold.a2 + 4 * cold.a3;
+  ASSERT_EQ(words, std::size_t{65536});
+  std::vector<stm::Word> heap(words + 2 * 4099);
   OrecTable table;
+  ASSERT_EQ(table.size(), words);
   for (std::size_t skew : {std::size_t{0}, std::size_t{4097},
                            std::size_t{2 * 4099}}) {
-    std::set<std::size_t> stripes;
-    for (std::size_t i = 0; i < kWords; ++i) {
-      stripes.insert(table.index_for(&heap[skew + i]));
+    std::vector<unsigned> hits(table.size(), 0);
+    for (std::size_t i = 0; i < words; ++i) {
+      ++hits[table.index_for(&heap[skew + i])];
     }
-    EXPECT_EQ(stripes.size(), table.size())
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1u),
+              static_cast<std::ptrdiff_t>(words))
         << "base skew " << skew << " words";
   }
+}
+
+TEST(OrecTableFootprint, UntouchedStripesAreNotResident) {
+  // A zero word is an unlocked orec at version 0, so the table writes
+  // nothing at construction: an orec page becomes resident only when a
+  // transaction first locks one of its stripes.
+#ifndef __linux__
+  GTEST_SKIP() << "mincore's residency vector is Linux's unsigned char*";
+#else
+  OrecTable table;
+  // Whole pages around the array, so the count measures residency even
+  // for a table whose base is not page-aligned.
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto first = reinterpret_cast<std::uintptr_t>(&table.at(0));
+  const std::uintptr_t base = first & ~(page - 1);
+  const std::uintptr_t end =
+      (first + table.backing_bytes() + page - 1) & ~(page - 1);
+  std::vector<unsigned char> vec((end - base) / page);
+  const auto resident = [&] {
+    EXPECT_EQ(::mincore(reinterpret_cast<void*>(base), end - base,
+                        vec.data()),
+              0);
+    return std::count_if(vec.begin(), vec.end(),
+                         [](unsigned char v) { return (v & 1u) != 0; });
+  };
+  EXPECT_EQ(resident(), 0);
+  stm::TxThread tx;
+  Orec& o = table.at(table.size() / 2 + 3);
+  ASSERT_TRUE(o.try_lock(Orec::pack_version(0), &tx));
+  o.unlock_to_version(1);
+  EXPECT_EQ(resident(), 1);
+#endif
 }
 
 TEST(OrecIndexing, AddressesInOneBlockShareAStripe) {
@@ -241,7 +286,7 @@ TEST(OrecIndexing, PrivateRangesOwnDisjointOrecLines) {
 
 TEST(OrecIndexing, AddressesOnePeriodApartShareAStripe) {
   // The price of the direct map: aliasing is structured. Addresses exactly
-  // size << shift bytes apart (256 KiB at the default g3, 2 MiB at g6)
+  // size << shift bytes apart (512 KiB at the default g3, 4 MiB at g6)
   // always share a stripe; half a period apart they never do. index_for
   // never dereferences, so synthetic addresses suffice.
   alignas(64) static stm::Word word;

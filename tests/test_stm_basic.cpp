@@ -261,7 +261,7 @@ TEST(OrecEagerTest, AliasedWritesLockOnce) {
 }
 
 TEST(OrecEagerTest, ReadOnePeriodAwayFromAnOwnedOrecSeesMemory) {
-  // At the default table, a word 256 KiB past a written one shares its
+  // At the default table, a word 512 KiB past a written one shares its
   // orec (the direct map's aliasing period). Reading it after the write
   // finds the orec locked by this transaction but the word absent from
   // the redo log: the read must return memory's value without logging,
