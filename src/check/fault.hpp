@@ -8,9 +8,9 @@
 // of that site fire. Two fault classes share the machinery:
 //
 //   * mutation faults (kNorecSkipValidation, kNorecSkipFilterFallback,
-//     kSerialTokenDrop): deliberately break a correctness argument; a
-//     campaign proves the oracles CATCH the bug class, with a replayable
-//     schedule;
+//     kSerialTokenDrop, kRfwSkipRevalidation): deliberately break a
+//     correctness argument; a campaign proves the oracles CATCH the bug
+//     class, with a replayable schedule;
 //   * availability faults (the commit-tail and admission-CAS sites): force
 //     legal-but-unlucky outcomes (spurious conflicts, lost CAS races, a
 //     skipped notify); a campaign proves the system stays correct AND
@@ -84,6 +84,14 @@ enum class FaultSite : unsigned {
   kLimboWatermark,            // the hard-watermark check reads "over": a
                               // forced reclaim pass + quota shed run even
                               // though the real depth is below the mark
+  // --- read-for-write first-touch wait (mutation, DESIGN.md §22) -----------
+  kRfwSkipRevalidation,       // once the wait sees the orec move, the
+                              // orec engines' read_for_write returns
+                              // memory's value without re-running the
+                              // acquire: the word is read unlocked and
+                              // unvalidated, so a third pop can take the
+                              // same element — the opacity oracle must
+                              // catch it
   kCount,
 };
 
@@ -107,6 +115,7 @@ inline const char* to_string(FaultSite s) noexcept {
     case FaultSite::kCmWaitTimeout: return "cm.wait-timeout";
     case FaultSite::kCmVictimChoice: return "cm.victim-choice";
     case FaultSite::kLimboWatermark: return "limbo.watermark";
+    case FaultSite::kRfwSkipRevalidation: return "rfw.skip-revalidation";
     case FaultSite::kCount: break;
   }
   return "?";

@@ -279,6 +279,65 @@ Scenario::Outcome StmSnapshotScenario::run_once(const SchedOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
+// StmQueuePopScenario
+// ---------------------------------------------------------------------------
+
+std::string StmQueuePopScenario::name() const {
+  std::ostringstream os;
+  os << "stm-queue-pop/" << stm::to_string(cfg_.algo) << "/t" << cfg_.threads
+     << "i" << cfg_.items;
+  return os.str();
+}
+
+Scenario::Outcome StmQueuePopScenario::run_once(const SchedOptions& opts) {
+  auto engine = stm::make_engine(cfg_.algo);
+  // Variables: 0 = head, 1 = tail, 2 + i = slot i, prefilled with distinct
+  // values so every read names the state it came from.
+  std::vector<stm::Word> mem(2 + cfg_.items, 0);
+  mem[1] = cfg_.items;
+  for (unsigned i = 0; i < cfg_.items; ++i) mem[2 + i] = 100 + i;
+  const std::vector<stm::Word> initial = mem;
+  HistoryRecorder rec(cfg_.threads);
+  ViolationSink sink;
+
+  CoopScheduler sched(cfg_.threads, opts);
+  SchedResult res = sched.run([&](unsigned t) {
+    stm::TxThread tx;
+    for (unsigned attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
+      rec.begin(t);
+      tx.read_only = false;
+      engine->begin(tx);
+      try {
+        // intruder::TxQueue::pop, with every access recorded.
+        const stm::Word head = engine->read_for_write(tx, &mem[0]);
+        rec.read(t, 0, head, false);
+        const stm::Word tail = engine->read(tx, &mem[1]);
+        rec.read(t, 1, tail, false);
+        if (head != tail) {
+          const unsigned slot = 2 + static_cast<unsigned>(head % cfg_.items);
+          rec.read(t, slot, engine->read(tx, &mem[slot]), false);
+          engine->write(tx, &mem[0], head + 1);
+          rec.write(t, 0, head + 1);
+        }
+        engine->commit(tx);
+      } catch (const stm::TxConflict&) {
+        rec.abort(t);
+        continue;
+      }
+      finish_commit(tx);
+      rec.commit(t);
+      break;
+    }
+  });
+
+  for (const std::string& e : res.thread_errors) {
+    sink.note("worker exception: " + e);
+  }
+  sink.note(check_opacity(rec.records(), initial, mem));
+  return Outcome{std::move(res), sink.take()};
+}
+
+// ---------------------------------------------------------------------------
 // AdmissionChurnScenario
 // ---------------------------------------------------------------------------
 

@@ -114,6 +114,30 @@ class StmSnapshotScenario final : public Scenario {
   StmSnapshotConfig cfg_;
 };
 
+// Intruder's queue pop (intruder::TxQueue::pop) on one engine instance:
+// read head through the read-for-write barrier, read tail, read the slot,
+// write head + 1, over a prefilled ring, judged by the opacity oracle.
+// Two pops on an encounter-time engine cover the first-touch wait (one pop
+// parks on the other's head lock, DESIGN.md §22); it takes a third pop for
+// a read of head that was never locked to become a double pop, which is
+// what the kRfwSkipRevalidation mutation produces.
+struct StmQueuePopConfig {
+  stm::Algo algo = stm::Algo::kOrecEagerRedo;
+  unsigned threads = 2;  // one pop each
+  unsigned items = 4;    // prefilled; pops past this find the ring empty
+  unsigned max_attempts = 256;
+};
+
+class StmQueuePopScenario final : public Scenario {
+ public:
+  explicit StmQueuePopScenario(StmQueuePopConfig cfg) : cfg_(cfg) {}
+  std::string name() const override;
+  Outcome run_once(const SchedOptions& opts) override;
+
+ private:
+  StmQueuePopConfig cfg_;
+};
+
 // Admission-controller churn: workers admit/leave (a deterministic mix of
 // admit and try_admit) while a mutator thread walks a fixed program of
 // set_quota / pause / resume steps. Checks, exactly at each grant (the

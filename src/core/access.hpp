@@ -97,6 +97,27 @@ void vwrite(T* addr, T value) {
   }
 }
 
+// Reads a word the transaction writes before it ends: the read of a
+// read-modify-write. Encounter-time engines lock the word here instead of
+// at the write, and a transaction whose first access this is waits a
+// bounded time for a foreign lock rather than aborting (DESIGN.md §22);
+// every other engine, lock mode and serial mode read as vread does.
+// Sub-word types take the containing word.
+template <typename T>
+T vread_for_write(T* addr) {
+  detail::check_type<T>();
+  ThreadCtx& tc = thread_ctx();
+  stm::TxThread& tx = tc.tx;
+
+  unsigned offset = 0;
+  stm::Word* word = detail::containing_word(addr, &offset);
+  const stm::Word raw =
+      tx.in_tx ? tx.engine->read_for_write(tx, word) : stm::load_word(word);
+  T out;
+  std::memcpy(&out, reinterpret_cast<const char*>(&raw) + offset, sizeof(T));
+  return out;
+}
+
 // Convenience read-modify-write helpers for common idioms.
 template <typename T>
 void vadd(T* addr, T delta) {

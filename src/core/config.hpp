@@ -88,9 +88,10 @@ struct ViewConfig {
   BackoffPolicy backoff = BackoffPolicy::kNone;  // paper default: no backoff
 
   // Grace-period reclamation (stm/epoch.hpp, DESIGN.md §17). Blocks freed
-  // inside transactions are retired to a limbo list at commit; once the
-  // list holds this many blocks, the next transaction exit runs an
-  // amortized reclaim pass (try-lock, so at most one thread pays it).
+  // inside transactions are retired to a limbo list at commit; once this
+  // many blocks have been retired since the last reclaim pass, the next
+  // transaction exit runs an amortized pass (try-lock, so at most one
+  // thread pays it).
   // 0 disables the amortized passes — retired blocks then return to the
   // arena only under allocation pressure or via View::reclaim_garbage().
   std::size_t reclaim_threshold = 64;

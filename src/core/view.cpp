@@ -435,7 +435,7 @@ void View::maybe_reclaim() {
     return;
   }
   if (config_.reclaim_threshold == 0) return;
-  if (depth < config_.reclaim_threshold) return;
+  if (limbo_.retired_since_pass() < config_.reclaim_threshold) return;
   reclaim_pass(/*force=*/false);
 }
 

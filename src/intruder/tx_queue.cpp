@@ -5,6 +5,7 @@
 namespace votm::intruder {
 
 using core::vread;
+using core::vread_for_write;
 using core::vwrite;
 
 namespace {
@@ -25,7 +26,10 @@ TxQueue::TxQueue(core::View& view, std::size_t capacity)
 }
 
 TxQueue::Word TxQueue::pop() {
-  const Word head = vread(head_);
+  // Read-for-write: a non-empty pop writes head_, so the orec engines lock
+  // it at this first touch, and a pop that meets a peer's pop waits for it
+  // instead of aborting.
+  const Word head = vread_for_write(head_);
   const Word tail = vread(tail_);
   if (head == tail) return 0;
   const Word value = vread(&slots_[head & (capacity_ - 1)]);

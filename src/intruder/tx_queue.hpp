@@ -3,7 +3,9 @@
 //
 // head/tail are monotonically increasing word counters living in the view;
 // every pop writes head, so concurrent pops conflict by design (that is
-// the "centralized task queue" contention STAMP's intruder has).
+// the "centralized task queue" contention STAMP's intruder has). pop reads
+// head through the read-for-write barrier, so on the encounter-time engines
+// concurrent pops queue on head's orec instead of aborting each other.
 //
 // All methods marked "tx" must be called inside a transaction on the
 // owning view (e.g. from View::execute); prefill() runs before the

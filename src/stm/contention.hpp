@@ -149,6 +149,40 @@ inline bool cm_wait_orec(TxThread& tx, const Orec& orec,
   return false;
 }
 
+// Read-for-write first-touch wait (DESIGN.md §22). Inside
+// TxEngine::read_for_write only, an encounter-time engine that meets a
+// foreign lock while it has logged no read and holds no lock spins for the
+// orec to move instead of aborting: such a transaction has nothing to
+// lose by waiting and, holding nothing, nobody can wait on it, so no
+// wait-for cycle can close through it. This is independent of the
+// wait-CM knob above; every other conflict keeps the paper's immediate
+// self-abort. A fixed budget, not a knob: 128 PAUSEs is about 3 µs on the
+// reference host, ten times a queue pop's critical section.
+inline constexpr std::uint32_t kRfwWaitSpins = 128;
+
+// Returns true when the orec moved (the caller re-runs its acquire from a
+// fresh load), false when the caller must abort with kWriteLocked: the
+// transaction is serial, has read or locked something, is past its
+// deadline, or the budget ran out.
+inline bool rfw_first_touch_wait(TxThread& tx, const Orec& orec,
+                                 Orec::Packed observed) {
+  if (tx.serial) return false;
+  if (!tx.rlog.empty() || !tx.wlocks.empty()) return false;
+  if (tx.deadline.expired()) return false;
+  if (votm::check::thread_intercepted()) {
+    for (unsigned i = 0; i < kCmWaitCoopBound; ++i) {
+      VOTM_SCHED_YIELD_POINT(kStmWaitOrec);
+      if (orec.load(std::memory_order_acquire) != observed) return true;
+    }
+    return false;
+  }
+  for (std::uint32_t i = 0; i < kRfwWaitSpins; ++i) {
+    Backoff::cpu_relax();
+    if (orec.load(std::memory_order_acquire) != observed) return true;
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 // Victim-choice layer (stm/cm_policy.hpp, DESIGN.md §20).
 //

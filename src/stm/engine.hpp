@@ -159,6 +159,22 @@ class TxEngine {
   virtual Word read(TxThread& tx, const Word* addr) = 0;
   virtual void write(TxThread& tx, Word* addr, Word value) = 0;
 
+  // Read-for-write (the TM ABI's RfW barrier): reads a word the
+  // transaction is about to write. Engines that lock at encounter time
+  // take the covering orec here, so a read-modify-write meets a foreign
+  // lock once, as a writer, instead of reading and then upgrading. The
+  // default is read(): engines that lock later (NOrec and OrecLazy at
+  // commit, TML at its first write) or never (CGL) gain nothing from
+  // locking early. Like write(), it is misuse inside a read-only
+  // transaction.
+  virtual Word read_for_write(TxThread& tx, Word* addr) {
+    if (tx.read_only) {
+      tx.misuse("read_for_write inside a read-only transaction "
+                "(acquire_Rview)");
+    }
+    return read(tx, addr);
+  }
+
   // Attempts to commit; on failure calls tx.conflict() (does not return).
   virtual void commit(TxThread& tx) = 0;
 

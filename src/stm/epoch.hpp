@@ -266,6 +266,8 @@ class LimboList {
     }
     passes_.fetch_add(1, std::memory_order_relaxed);
     if (force) forced_passes_.fetch_add(1, std::memory_order_relaxed);
+    retired_at_pass_.store(retired_.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
     if (head_ == nullptr) {
       mu_.unlock();
       return 0;
@@ -316,6 +318,17 @@ class LimboList {
     return depth_.load(std::memory_order_relaxed);
   }
 
+  // Blocks retired since the last pass of either kind started. The
+  // amortized trigger counts these rather than depth: while a pinned
+  // transaction holds the horizon, depth stays above the threshold and a
+  // depth trigger would run a fruitless pass on every exit.
+  std::uint64_t retired_since_pass() const noexcept {
+    const std::uint64_t mark =
+        retired_at_pass_.load(std::memory_order_relaxed);
+    const std::uint64_t now = retired_.load(std::memory_order_relaxed);
+    return now > mark ? now - mark : 0;  // a racing pass may mark ahead
+  }
+
   ReclaimStats stats() const noexcept {
     ReclaimStats s;
     s.retired = retired_.load(std::memory_order_relaxed);
@@ -339,6 +352,7 @@ class LimboList {
   std::atomic<std::size_t> depth_{0};
   std::atomic<std::size_t> depth_hwm_{0};
   std::atomic<std::uint64_t> retired_{0};
+  std::atomic<std::uint64_t> retired_at_pass_{0};  // retired_ at last pass
   std::atomic<std::uint64_t> reclaimed_{0};
   std::atomic<std::uint64_t> passes_{0};
   std::atomic<std::uint64_t> forced_passes_{0};

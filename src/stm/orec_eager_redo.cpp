@@ -88,6 +88,46 @@ Word OrecEagerRedoEngine::read(TxThread& tx, const Word* addr) {
   }
 }
 
+void OrecEagerRedoEngine::acquire(TxThread& tx, Orec& o,
+                                  bool first_touch_wait) {
+  for (;;) {
+    const Orec::Packed p = o.load();
+    if (Orec::is_locked(p)) {
+      if (Orec::owner_of(p) == &tx) return;  // already ours
+      if (cm_resolve_foreign_lock(tx, o, p, cm_)) continue;
+      if (first_touch_wait && rfw_first_touch_wait(tx, o, p)) {
+        // Mutation: trust the wait and read the word without the lock.
+        if (VOTM_FAULT(kRfwSkipRevalidation)) return;
+        continue;
+      }
+      tx.conflict(ConflictKind::kWriteLocked);
+    }
+    if (Orec::version_of(p) > tx.start_time) {
+      extend(tx, Orec::version_of(p));
+      continue;
+    }
+    if (o.try_lock(p, &tx)) {
+      tx.wlocks.push_back(OwnedOrec{&o, Orec::version_of(p)});
+      return;
+    }
+    // Lost the CAS race; re-examine the orec.
+  }
+}
+
+Word OrecEagerRedoEngine::read_for_write(TxThread& tx, Word* addr) {
+  VOTM_SCHED_POINT(kStmWrite);
+  if (tx.read_only) {
+    tx.misuse("read_for_write inside a read-only transaction (acquire_Rview)");
+  }
+  if (tx.serial) return load_word(addr);
+  if (const Word* buffered = tx.wset.lookup(addr)) return *buffered;
+  acquire(tx, orecs_.for_address(addr), /*first_touch_wait=*/true);
+  // The orec is ours and the redo log has no entry for this word, so
+  // memory holds its committed value, and nobody can change it until we
+  // commit. No read is logged: the lock is the validation.
+  return load_word(addr);
+}
+
 void OrecEagerRedoEngine::write(TxThread& tx, Word* addr, Word value) {
   VOTM_SCHED_POINT(kStmWrite);
   if (tx.read_only) {
@@ -97,24 +137,7 @@ void OrecEagerRedoEngine::write(TxThread& tx, Word* addr, Word value) {
     store_word(addr, value);
     return;
   }
-  Orec& o = orecs_.for_address(addr);
-  for (;;) {
-    const Orec::Packed p = o.load();
-    if (Orec::is_locked(p)) {
-      if (Orec::owner_of(p) == &tx) break;  // already ours
-      if (cm_resolve_foreign_lock(tx, o, p, cm_)) continue;
-      tx.conflict(ConflictKind::kWriteLocked);
-    }
-    if (Orec::version_of(p) > tx.start_time) {
-      extend(tx, Orec::version_of(p));
-      continue;
-    }
-    if (o.try_lock(p, &tx)) {
-      tx.wlocks.push_back(OwnedOrec{&o, Orec::version_of(p)});
-      break;
-    }
-    // Lost the CAS race; re-examine the orec.
-  }
+  acquire(tx, orecs_.for_address(addr), /*first_touch_wait=*/false);
   tx.wset.insert(addr, value);
 }
 

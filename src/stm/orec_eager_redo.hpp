@@ -6,7 +6,9 @@
 // against a per-instance version clock with timestamp extension. A reader
 // or writer that meets a foreign lock aborts itself and retries immediately
 // — the aggressive policy under which the paper observes livelock at high
-// contention (Tables III and V, Q >= 16).
+// contention (Tables III and V, Q >= 16). The one exception is a
+// read-for-write that is the transaction's first touch: it waits, bounded,
+// for the lock to drop (rfw_first_touch_wait, DESIGN.md §22).
 #pragma once
 
 #include "stm/clock.hpp"
@@ -32,6 +34,9 @@ class OrecEagerRedoEngine final : public TxEngine {
   void begin(TxThread& tx) override;
   Word read(TxThread& tx, const Word* addr) override;
   void write(TxThread& tx, Word* addr, Word value) override;
+  // Locks the word's orec (waiting at first touch, see
+  // rfw_first_touch_wait) and returns its value; logs no write.
+  Word read_for_write(TxThread& tx, Word* addr) override;
   void commit(TxThread& tx) override;
   void rollback(TxThread& tx) override;
 
@@ -50,6 +55,13 @@ class OrecEagerRedoEngine final : public TxEngine {
   // the orec version that forced the extension (may exceed the global
   // clock under GV5; see VersionClock::extension_bound).
   void extend(TxThread& tx, std::uint64_t observed);
+
+  // Encounter-time acquisition shared by write() and read_for_write():
+  // returns once `o` is locked by tx (already or newly), extending the
+  // snapshot past a newer version; a foreign lock aborts with
+  // kWriteLocked unless the CM or, with `first_touch_wait`, the
+  // read-for-write first-touch wait outlasts it.
+  void acquire(TxThread& tx, Orec& o, bool first_touch_wait);
 
   VersionClock clock_;
   OrecTable orecs_;

@@ -80,6 +80,43 @@ Word OrecEagerUndoEngine::read(TxThread& tx, const Word* addr) {
   }
 }
 
+void OrecEagerUndoEngine::acquire(TxThread& tx, Orec& o,
+                                  bool first_touch_wait) {
+  for (;;) {
+    const Orec::Packed p = o.load();
+    if (Orec::is_locked(p)) {
+      if (Orec::owner_of(p) == &tx) return;
+      if (cm_resolve_foreign_lock(tx, o, p, cm_)) continue;
+      if (first_touch_wait && rfw_first_touch_wait(tx, o, p)) {
+        // Mutation: trust the wait and read the word without the lock.
+        if (VOTM_FAULT(kRfwSkipRevalidation)) return;
+        continue;
+      }
+      tx.conflict(ConflictKind::kWriteLocked);
+    }
+    if (Orec::version_of(p) > tx.start_time) {
+      extend(tx, Orec::version_of(p));
+      continue;
+    }
+    if (o.try_lock(p, &tx)) {
+      tx.wlocks.push_back(OwnedOrec{&o, Orec::version_of(p)});
+      return;
+    }
+  }
+}
+
+Word OrecEagerUndoEngine::read_for_write(TxThread& tx, Word* addr) {
+  VOTM_SCHED_POINT(kStmWrite);
+  if (tx.read_only) {
+    tx.misuse("read_for_write inside a read-only transaction (acquire_Rview)");
+  }
+  if (tx.serial) return load_word(addr);
+  acquire(tx, orecs_.for_address(addr), /*first_touch_wait=*/true);
+  // The orec is ours: memory holds the committed value, or our own
+  // write-through value. Nothing is undo-logged until write() changes it.
+  return load_word(addr);
+}
+
 void OrecEagerUndoEngine::write(TxThread& tx, Word* addr, Word value) {
   VOTM_SCHED_POINT(kStmWrite);
   if (tx.read_only) {
@@ -89,23 +126,7 @@ void OrecEagerUndoEngine::write(TxThread& tx, Word* addr, Word value) {
     store_word(addr, value);
     return;
   }
-  Orec& o = orecs_.for_address(addr);
-  for (;;) {
-    const Orec::Packed p = o.load();
-    if (Orec::is_locked(p)) {
-      if (Orec::owner_of(p) == &tx) break;
-      if (cm_resolve_foreign_lock(tx, o, p, cm_)) continue;
-      tx.conflict(ConflictKind::kWriteLocked);
-    }
-    if (Orec::version_of(p) > tx.start_time) {
-      extend(tx, Orec::version_of(p));
-      continue;
-    }
-    if (o.try_lock(p, &tx)) {
-      tx.wlocks.push_back(OwnedOrec{&o, Orec::version_of(p)});
-      break;
-    }
-  }
+  acquire(tx, orecs_.for_address(addr), /*first_touch_wait=*/false);
   // Write-through: save the old value, then update memory in place (the
   // covering orec is locked by us across this point, so no reader can
   // observe the speculative store).

@@ -12,7 +12,8 @@
 //
 // Readers of a foreign-locked orec abort (the in-place value is
 // speculative); readers of an unlocked orec validate by version with
-// timestamp extension, like the other orec engines.
+// timestamp extension, like the other orec engines. A read-for-write at
+// first touch waits, bounded, for the lock to drop instead (DESIGN.md §22).
 #pragma once
 
 #include "stm/clock.hpp"
@@ -37,6 +38,9 @@ class OrecEagerUndoEngine final : public TxEngine {
   void begin(TxThread& tx) override;
   Word read(TxThread& tx, const Word* addr) override;
   void write(TxThread& tx, Word* addr, Word value) override;
+  // Locks the word's orec (waiting at first touch, see
+  // rfw_first_touch_wait) and returns its value; undo-logs nothing.
+  Word read_for_write(TxThread& tx, Word* addr) override;
   void commit(TxThread& tx) override;
   void rollback(TxThread& tx) override;
 
@@ -48,6 +52,9 @@ class OrecEagerUndoEngine final : public TxEngine {
  private:
   bool read_log_valid(TxThread& tx, std::uint64_t bound) const noexcept;
   void extend(TxThread& tx, std::uint64_t observed);
+  // Encounter-time acquisition shared by write() and read_for_write();
+  // see OrecEagerRedoEngine::acquire.
+  void acquire(TxThread& tx, Orec& o, bool first_touch_wait);
 
   VersionClock clock_;
   OrecTable orecs_;

@@ -165,15 +165,25 @@ TEST(TxQueueTest, FullQueueRejectsPush) {
   });
 }
 
-TEST(TxQueueTest, PrefillThenConcurrentDrainPopsEachElementOnce) {
-  core::View view(queue_view_config());
+// Every engine, admitted at Q = N, so transactional pops really overlap:
+// on the encounter-time engines they race through pop's read-for-write
+// barrier and its first-touch wait.
+class TxQueueDrainTest : public ::testing::TestWithParam<stm::Algo> {};
+
+TEST_P(TxQueueDrainTest, PrefillThenConcurrentDrainPopsEachElementOnce) {
+  constexpr unsigned kThreads = 6;
+  core::ViewConfig vc = queue_view_config();
+  vc.algo = GetParam();
+  vc.max_threads = kThreads;
+  vc.rac = core::RacMode::kFixed;
+  vc.fixed_quota = kThreads;
+  core::View view(vc);
   constexpr std::size_t kItems = 2000;
   TxQueue q(view, kItems);
   std::vector<stm::Word> values;
   for (std::size_t i = 1; i <= kItems; ++i) values.push_back(i);
   q.prefill(values);
 
-  constexpr unsigned kThreads = 6;
   std::vector<std::vector<stm::Word>> popped(kThreads);
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < kThreads; ++t) {
@@ -200,6 +210,16 @@ TEST(TxQueueTest, PrefillThenConcurrentDrainPopsEachElementOnce) {
   }
   EXPECT_EQ(total, kItems);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, TxQueueDrainTest,
+                         ::testing::Values(stm::Algo::kNOrec,
+                                           stm::Algo::kOrecEagerRedo,
+                                           stm::Algo::kOrecLazy,
+                                           stm::Algo::kOrecEagerUndo,
+                                           stm::Algo::kTml, stm::Algo::kCgl),
+                         [](const auto& info) {
+                           return stm::to_string(info.param);
+                         });
 
 TEST(TxQueueTest, WrapsAroundTheRing) {
   core::View view(queue_view_config());

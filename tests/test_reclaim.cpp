@@ -215,6 +215,44 @@ TEST(ViewReclaim, AmortizedPassTriggersAtThreshold) {
   EXPECT_LT(view.limbo_depth(), 8u);
 }
 
+TEST(ViewReclaim, PinnedPeerKeepsPassesAmortized) {
+  // A peer parked inside a transaction holds the grace-period horizon, so
+  // nothing retired after its pin can be reclaimed and depth stays above
+  // the threshold. Passes must still come once per threshold retires, not
+  // on every exit.
+  constexpr std::size_t kThreshold = 8;
+  constexpr std::size_t kFrees = 200;
+  core::ViewConfig vc = reclaim_config(stm::Algo::kOrecEagerRedo, 2);
+  vc.reclaim_threshold = kThreshold;
+  core::View view(vc);
+  std::vector<void*> blocks;
+  view.execute([&] {
+    for (std::size_t i = 0; i < kFrees; ++i) blocks.push_back(view.alloc(32));
+  });
+  std::atomic<bool> pinned{false};
+  std::atomic<bool> release{false};
+  std::thread peer([&] {
+    view.execute([&] {
+      pinned.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!pinned.load()) std::this_thread::yield();
+  const std::uint64_t passes_before = view.reclaim_stats().passes;
+  for (void* b : blocks) {
+    view.execute([&] { view.free(b); });
+  }
+  const stm::ReclaimStats s = view.reclaim_stats();
+  release.store(true);
+  peer.join();
+  EXPECT_EQ(s.retired, kFrees);
+  EXPECT_EQ(s.reclaimed, 0u);  // the pin held every block back
+  EXPECT_LE(s.passes - passes_before,
+            (kFrees + kThreshold - 1) / kThreshold + 1);
+  EXPECT_GT(s.passes, passes_before);  // still amortized, not disabled
+  EXPECT_EQ(view.reclaim_garbage(), kFrees);
+}
+
 TEST(ViewReclaim, AllocationPressureForcesAReclaim) {
   core::ViewConfig vc = reclaim_config(stm::Algo::kNOrec, 2);
   vc.initial_bytes = 4096;

@@ -209,6 +209,73 @@ TEST(FaultInjection, ExhaustiveFindsNorecValidationSkip) {
   EXPECT_FALSE(report.schedule.empty());
 }
 
+// Read-for-write queue pops (DESIGN.md §22) on the two encounter-time
+// engines, the only ones whose RfW locks and waits. Every schedule of two
+// racing pops keeps the opacity oracle clean (2,048 per engine); three pops
+// exceed a 50,000-schedule budget, so they get seeded random walks. The
+// schedules do reach the first-touch wait's re-acquire: a plan armed to
+// count, never to fire, records its evaluations.
+constexpr stm::Algo kEncounterTimeAlgos[] = {stm::Algo::kOrecEagerRedo,
+                                             stm::Algo::kOrecEagerUndo};
+
+StmQueuePopConfig queue_pops(stm::Algo algo, unsigned threads) {
+  StmQueuePopConfig cfg;
+  cfg.algo = algo;
+  cfg.threads = threads;
+  cfg.items = threads;
+  return cfg;
+}
+
+TEST(QueuePop, TwoPopsExhaustiveClean) {
+  for (const stm::Algo algo : kEncounterTimeAlgos) {
+    StmQueuePopScenario scenario(queue_pops(algo, 2));
+    FaultGuard count_only(FaultSite::kRfwSkipRevalidation,
+                          FaultPlan{~std::uint64_t{0}, 0, false});
+    const auto report = explore_exhaustive(scenario, /*max_runs=*/50000);
+    EXPECT_TRUE(report.clean()) << report.repro;
+    EXPECT_TRUE(report.exhausted)
+        << scenario.name() << ": tree larger than budget: " << report.runs;
+    EXPECT_GT(
+        FaultInjector::instance().evals(FaultSite::kRfwSkipRevalidation), 0u)
+        << scenario.name() << ": no schedule got through a first-touch wait";
+  }
+}
+
+TEST(QueuePop, ThreePopsRandomWalksClean) {
+  for (const stm::Algo algo : kEncounterTimeAlgos) {
+    StmQueuePopScenario scenario(queue_pops(algo, 3));
+    FaultGuard count_only(FaultSite::kRfwSkipRevalidation,
+                          FaultPlan{~std::uint64_t{0}, 0, false});
+    const auto report = explore_random(scenario, 300, 0x90B5);
+    EXPECT_TRUE(report.clean()) << report.repro;
+    EXPECT_GT(
+        FaultInjector::instance().evals(FaultSite::kRfwSkipRevalidation), 0u)
+        << scenario.name() << ": no schedule got through a first-touch wait";
+  }
+}
+
+// Mutation check: a read-for-write that trusts the first-touch wait and
+// returns memory's value without re-running the acquire reads head
+// unlocked. With three pops, a peer can then lock, pop and commit the same
+// element; the oracle must catch the double pop, and the schedule must
+// replay. Seeded random walks find it within a few dozen schedules.
+TEST(FaultInjection, RfwSkipRevalidationIsCaughtAndReplayable) {
+  for (const stm::Algo algo : kEncounterTimeAlgos) {
+    StmQueuePopScenario scenario(queue_pops(algo, 3));
+    FaultGuard fault(FaultSite::kRfwSkipRevalidation);
+    const auto report = explore_random(scenario, 300, 0x90B5);
+    ASSERT_FALSE(report.clean())
+        << scenario.name() << ": mutant survived " << report.runs
+        << " schedules";
+    EXPECT_GT(
+        FaultInjector::instance().triggers(FaultSite::kRfwSkipRevalidation),
+        0u);
+    const auto replay = replay_schedule(scenario, report.schedule);
+    ASSERT_FALSE(replay.clean()) << "replay lost the violation";
+    EXPECT_EQ(replay.violation->what, report.violation->what);
+  }
+}
+
 TEST(AdmissionChurn, InvariantsHoldUnderRandomWalks) {
   AdmissionChurnScenario scenario(default_admission_churn(3));
   const auto report = explore_random(scenario, 60, 0xAD31);

@@ -11,6 +11,7 @@
 #include "stm/logs.hpp"
 #include "stm/norec.hpp"
 #include "stm/orec_eager_redo.hpp"
+#include "stm/orec_eager_undo.hpp"
 #include "stm/orec_table.hpp"
 #include "stm/tml.hpp"
 
@@ -129,6 +130,89 @@ TEST_P(StmBasic, StatsAccumulateCommits) {
   EXPECT_EQ(total.commits, 5u);
   EXPECT_EQ(total.aborts, 0u);
   EXPECT_GT(total.committed_cycles, 0u);
+}
+
+// ---- read-for-write (the TM ABI's RfW barrier) -----------------------------
+
+bool locks_at_encounter(Algo algo) {
+  return algo == Algo::kOrecEagerRedo || algo == Algo::kOrecEagerUndo;
+}
+
+TEST_P(StmBasic, ReadForWriteReturnsValueAndCommitPublishes) {
+  Word cell = 5;
+  Word seen = 0;
+  std::size_t locks = 99;
+  atomically(*engine_, tx_, [&](TxThread& tx) {
+    seen = engine_->read_for_write(tx, &cell);
+    locks = tx.wlocks.size();
+    engine_->write(tx, &cell, seen + 1);
+  });
+  EXPECT_EQ(seen, 5u);
+  EXPECT_EQ(cell, 6u);
+  // Only the encounter-time engines lock at RfW; the rest read as read()
+  // does (NOrec, TML and OrecLazy lock later, CGL holds its mutex).
+  EXPECT_EQ(locks, locks_at_encounter(GetParam()) ? 1u : 0u);
+}
+
+TEST_P(StmBasic, ReadForWriteSeesOwnEarlierWrite) {
+  Word cell = 1;
+  Word seen = 0;
+  atomically(*engine_, tx_, [&](TxThread& tx) {
+    engine_->write(tx, &cell, 9);
+    seen = engine_->read_for_write(tx, &cell);
+  });
+  EXPECT_EQ(seen, 9u);
+  EXPECT_EQ(cell, 9u);
+}
+
+TEST_P(StmBasic, ReadForWriteInReadOnlyTransactionIsMisuse) {
+  Word cell = 1;
+  tx_.read_only = true;
+  EXPECT_THROW(atomically(*engine_, tx_,
+                          [&](TxThread& tx) {
+                            engine_->read_for_write(tx, &cell);
+                          }),
+               std::logic_error);
+  tx_.read_only = false;
+  EXPECT_EQ(cell, 1u);
+  EXPECT_FALSE(tx_.in_tx);
+  EXPECT_TRUE(tx_.wlocks.empty());
+}
+
+TEST_P(StmBasic, ReadForWriteRollsBackWithTheTransaction) {
+  if (!engine_->speculative()) GTEST_SKIP() << "CGL writes in place";
+  if (GetParam() == Algo::kTml) GTEST_SKIP() << "TML writers are irrevocable";
+  Word cell = 5;
+  struct Boom {};
+  EXPECT_THROW(atomically(*engine_, tx_,
+                          [&](TxThread& tx) {
+                            const Word v = engine_->read_for_write(tx, &cell);
+                            engine_->write(tx, &cell, v + 10);
+                            throw Boom{};
+                          }),
+               Boom);
+  EXPECT_EQ(cell, 5u);
+  // A later transaction takes the word again: nothing was left locked.
+  atomically(*engine_, tx_, [&](TxThread& tx) {
+    engine_->write(tx, &cell, engine_->read_for_write(tx, &cell) + 1);
+  });
+  EXPECT_EQ(cell, 6u);
+}
+
+TEST_P(StmBasic, ReadForWriteInSerialModeIsAPlainLoad) {
+  Word cell = 3;
+  engine_->begin_serial(tx_);
+  const Word seen = engine_->read_for_write(tx_, &cell);
+  const std::size_t locks = tx_.wlocks.size();
+  const std::size_t reads = tx_.rlog.size() + tx_.vlog.size();
+  engine_->write(tx_, &cell, seen * 2);
+  engine_->end_serial(tx_);
+  tx_.in_tx = false;
+  tx_.engine = nullptr;
+  EXPECT_EQ(seen, 3u);
+  EXPECT_EQ(locks, 0u);
+  EXPECT_EQ(reads, 0u);
+  EXPECT_EQ(cell, 6u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, StmBasic,
@@ -295,6 +379,119 @@ TEST(OrecEagerTest, ReadOnePeriodAwayFromAnOwnedOrecSeesMemory) {
   EXPECT_EQ(total.commits, 1u);
   EXPECT_EQ(total.aborts, 0u);
 }
+
+// The encounter-time engines' RfW: the orec is taken at the read, the
+// read is not logged, and rollback/commit treat the orec as a write lock.
+class RfwEager : public ::testing::TestWithParam<Algo> {
+ protected:
+  void SetUp() override { engine_ = make_engine(GetParam()); }
+  OrecTable& orecs() {
+    if (auto* e = dynamic_cast<OrecEagerRedoEngine*>(engine_.get())) {
+      return e->orec_table();
+    }
+    return dynamic_cast<OrecEagerUndoEngine&>(*engine_).orec_table();
+  }
+  std::unique_ptr<TxEngine> engine_;
+  TxThread tx_;
+};
+
+TEST_P(RfwEager, TakesTheOrecAndLogsNoRead) {
+  Word cell = 40;
+  Orec& o = orecs().for_address(&cell);
+  atomically(*engine_, tx_, [&](TxThread& tx) {
+    EXPECT_EQ(engine_->read_for_write(tx, &cell), 40u);
+    const Orec::Packed p = o.load();
+    EXPECT_TRUE(Orec::is_locked(p));
+    EXPECT_EQ(Orec::owner_of(p), &tx);
+    EXPECT_EQ(tx.wlocks.size(), 1u);
+    EXPECT_TRUE(tx.rlog.empty());
+    EXPECT_TRUE(tx.wset.empty());
+    EXPECT_TRUE(tx.vlog.empty());
+  });
+  EXPECT_FALSE(Orec::is_locked(o.load()));
+}
+
+TEST_P(RfwEager, LaterWriteDoesNotRelockAndUndoStillLogs) {
+  Word cell = 40;
+  atomically(*engine_, tx_, [&](TxThread& tx) {
+    const Word v = engine_->read_for_write(tx, &cell);
+    engine_->write(tx, &cell, v + 2);
+    EXPECT_EQ(tx.wlocks.size(), 1u);
+    if (GetParam() == Algo::kOrecEagerUndo) {
+      // Write-through: the old value is undo-logged at the write, since
+      // RfW logged nothing.
+      ASSERT_EQ(tx.vlog.size(), 1u);
+      EXPECT_EQ(tx.vlog.entries()[0].value, 40u);
+      EXPECT_EQ(cell, 42u);
+    } else {
+      EXPECT_EQ(tx.wset.size(), 1u);
+      EXPECT_EQ(cell, 40u);  // redo: memory waits for commit
+    }
+    EXPECT_EQ(engine_->read_for_write(tx, &cell), 42u);
+    EXPECT_EQ(tx.wlocks.size(), 1u);
+  });
+  EXPECT_EQ(cell, 42u);
+}
+
+TEST_P(RfwEager, RollbackRestoresThePreLockVersion) {
+  Word cell = 1;
+  Orec& o = orecs().for_address(&cell);
+  atomically(*engine_, tx_, [&](TxThread& tx) { engine_->write(tx, &cell, 2); });
+  const Orec::Packed committed = o.load();
+  ASSERT_FALSE(Orec::is_locked(committed));
+  ASSERT_GT(Orec::version_of(committed), 0u);
+  struct Boom {};
+  EXPECT_THROW(atomically(*engine_, tx_,
+                          [&](TxThread& tx) {
+                            const Word v = engine_->read_for_write(tx, &cell);
+                            engine_->write(tx, &cell, v + 5);
+                            throw Boom{};
+                          }),
+               Boom);
+  EXPECT_EQ(o.load(), committed);
+  EXPECT_EQ(cell, 2u);
+}
+
+TEST_P(RfwEager, CommitPublishesANewVersion) {
+  Word cell = 1;
+  Orec& o = orecs().for_address(&cell);
+  const std::uint64_t before = Orec::version_of(o.load());
+  // An RfW with no write still commits as a writer: the orec was a write
+  // lock, and its release publishes a new version over unchanged memory.
+  atomically(*engine_, tx_,
+             [&](TxThread& tx) { engine_->read_for_write(tx, &cell); });
+  const Orec::Packed p = o.load();
+  EXPECT_FALSE(Orec::is_locked(p));
+  EXPECT_GT(Orec::version_of(p), before);
+  EXPECT_EQ(cell, 1u);
+}
+
+TEST_P(RfwEager, ForeignLockTimesOutAsWriteLocked) {
+  // Another transaction holds the word and never finishes: the first-touch
+  // wait is bounded, and its timeout is the ordinary write-lock abort.
+  Word cell = 7;
+  TxThread holder;
+  engine_->begin(holder);
+  engine_->write(holder, &cell, 8);
+  engine_->begin(tx_);
+  ConflictKind kind = ConflictKind::kExplicit;
+  try {
+    engine_->read_for_write(tx_, &cell);
+    ADD_FAILURE() << "read_for_write returned under a foreign lock";
+  } catch (const TxConflict& c) {
+    kind = c.kind;
+  }
+  EXPECT_EQ(kind, ConflictKind::kWriteLocked);
+  EXPECT_FALSE(tx_.in_tx);
+  EXPECT_TRUE(tx_.wlocks.empty());
+  engine_->commit(holder);
+  EXPECT_EQ(cell, 8u);
+}
+
+INSTANTIATE_TEST_SUITE_P(EncounterTime, RfwEager,
+                         ::testing::Values(Algo::kOrecEagerRedo,
+                                           Algo::kOrecEagerUndo),
+                         [](const auto& info) { return to_string(info.param); });
 
 TEST(FactoryTest, EngineNamesMatch) {
   EXPECT_STREQ(make_engine(Algo::kNOrec)->name(), "NOrec");
