@@ -37,7 +37,7 @@
 //       against ONE engine for all threads (TM / single-view) versus one
 //       engine PER thread (multi-TM); any gap is pure metadata contention.
 //
-// Methodology follows bench/micro_validation.cpp: throughput is commits
+// Methodology: throughput is commits
 // per CPU-second (CLOCK_THREAD_CPUTIME_ID, summed over workers) so
 // timeslice/steal noise on small hosts cancels; repeats of one cell's
 // policy variants are interleaved in time so host drift lands on all
@@ -175,8 +175,7 @@ CellResult run_policy_cell(ClockPolicy policy, unsigned threads,
               engine.write(tx, &mine[i % p.lines].word.value,
                            static_cast<Word>(i));
               engine.commit(tx);
-              tx.in_tx = false;
-              tx.engine = nullptr;
+              stm::end_common(tx);
               tx.consecutive_aborts = 0;
               break;
             } catch (const stm::TxConflict&) {

@@ -35,7 +35,7 @@
 //               at begin, and the baseline must price identically to the
 //               pre-PR binary (EXPERIMENTS.md A/B).
 //
-// Methodology follows bench/micro_validation.cpp: throughput is commits
+// Methodology: throughput is commits
 // per CPU-second (CLOCK_THREAD_CPUTIME_ID, summed over workers) so
 // timeslice/steal noise on small hosts cancels — and so cycles burned
 // spinning or retrying count against a variant honestly; policy variants

@@ -32,7 +32,7 @@
 //
 // Variants name the knob pair "g<shift>+<policy>"; the default is g3+gv1.
 //
-// Methodology follows bench/micro_validation.cpp: throughput is commits
+// Methodology: throughput is commits
 // per CPU-second (CLOCK_THREAD_CPUTIME_ID summed over workers) so
 // timeslice noise on small hosts cancels; each repeat runs ALL variants of
 // a cell back-to-back so host drift lands on every variant equally; the

@@ -34,7 +34,6 @@ REQUIRED_BASELINES = [
     "BENCH_granularity.json",
     "BENCH_reclaim.json",
     "BENCH_robustness.json",
-    "BENCH_validation.json",
 ]
 
 

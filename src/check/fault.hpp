@@ -7,8 +7,8 @@
 // and a test arms a site with a FaultPlan saying exactly which evaluations
 // of that site fire. Two fault classes share the machinery:
 //
-//   * mutation faults (kNorecSkipValidation, kNorecSkipFilterFallback,
-//     kSerialTokenDrop, kRfwSkipRevalidation): deliberately break a
+//   * mutation faults (kNorecSkipValidation, kSerialTokenDrop,
+//     kRfwSkipRevalidation, kLockModeStaleQuota): deliberately break a
 //     correctness argument; a campaign proves the oracles CATCH the bug
 //     class, with a replayable schedule;
 //   * availability faults (the commit-tail and admission-CAS sites): force
@@ -41,7 +41,6 @@ namespace votm::check {
 enum class FaultSite : unsigned {
   // --- NOrec validation (the original mutation switches) -------------------
   kNorecSkipValidation = 0,   // validate() skips the value-set check
-  kNorecSkipFilterFallback,   // signature filter treats overlap as disjoint
   // --- engine commit/validate tails (availability: spurious conflicts) -----
   kNorecCommitTail,           // NOrec commit fails before the seqlock CAS
   kTmlAcquireFail,            // TML first-write lock acquisition loses
@@ -92,14 +91,19 @@ enum class FaultSite : unsigned {
                               // unvalidated, so a third pop can take the
                               // same element — the opacity oracle must
                               // catch it
+  // --- lock-mode pick (mutation, DESIGN.md §11) ----------------------------
+  kLockModeStaleQuota,        // View::enter picks lock mode from a fresh
+                              // quota load instead of the snapshot admit()
+                              // returned: a thread admitted at Q > 1 can
+                              // run uninstrumented beside speculative
+                              // peers once the quota drops to 1 — the
+                              // LockModeScenario oracles must catch it
   kCount,
 };
 
 inline const char* to_string(FaultSite s) noexcept {
   switch (s) {
     case FaultSite::kNorecSkipValidation: return "norec.skip-validation";
-    case FaultSite::kNorecSkipFilterFallback:
-      return "norec.skip-filter-fallback";
     case FaultSite::kNorecCommitTail: return "norec.commit-tail";
     case FaultSite::kTmlAcquireFail: return "tml.acquire-fail";
     case FaultSite::kOrecEagerRedoCommitTail: return "oer.commit-tail";
@@ -116,6 +120,7 @@ inline const char* to_string(FaultSite s) noexcept {
     case FaultSite::kCmVictimChoice: return "cm.victim-choice";
     case FaultSite::kLimboWatermark: return "limbo.watermark";
     case FaultSite::kRfwSkipRevalidation: return "rfw.skip-revalidation";
+    case FaultSite::kLockModeStaleQuota: return "view.lock-mode-stale-quota";
     case FaultSite::kCount: break;
   }
   return "?";

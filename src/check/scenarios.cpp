@@ -54,8 +54,7 @@ class ViolationSink {
 // directly so each attempt can be recorded).
 void finish_commit(stm::TxThread& tx) {
   tx.last_tx_cycles = stm::tx_elapsed_cycles(tx);
-  tx.in_tx = false;
-  tx.engine = nullptr;
+  stm::end_common(tx);
   tx.consecutive_aborts = 0;
   tx.backoff.reset();
   tx.cm.end_run();  // victim-choice priority ends with the run (§20)
@@ -460,6 +459,48 @@ Scenario::Outcome AdmissionChurnScenario::run_once(const SchedOptions& opts) {
   return Outcome{std::move(res), sink.take()};
 }
 
+namespace {
+
+// End-of-run books of a View scenario in which one transaction wrote 0 to
+// `cell` and then every committed body added 1: the view's stats conserve
+// events, the counter is exact, and the admission ledger drained.
+// `attempts` and `commits` count the scenario's bodies, not that first
+// transaction.
+void check_counter_books(core::View& view, const stm::Word* cell,
+                         std::uint64_t attempts, std::uint64_t commits,
+                         ViolationSink& sink) {
+  const std::uint64_t att = attempts + 1;
+  const std::uint64_t com = commits + 1;
+  const stm::Word final_value = core::vread(cell);
+  const stm::StatsSnapshot st = view.stats();
+  if (st.commits != com) {
+    std::ostringstream os;
+    os << "stats conservation: view counted " << st.commits
+       << " commits, scenario observed " << com;
+    sink.note(os.str());
+  }
+  if (st.commits + st.aborts != att) {
+    std::ostringstream os;
+    os << "stats conservation: " << att << " body attempts but commits("
+       << st.commits << ") + aborts(" << st.aborts << ") = "
+       << st.commits + st.aborts
+       << " — an abort path failed to account its event";
+    sink.note(os.str());
+  }
+  // Exception and conflict attempts must leave no trace.
+  if (final_value != com - 1) {
+    std::ostringstream os;
+    os << "counter mismatch: " << com - 1 << " committed increments but the "
+       << "cell reads " << final_value;
+    sink.note(os.str());
+  }
+  if (view.admission().admitted() != 0) {
+    sink.note("admission ledger nonzero after quiescence");
+  }
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ViewStatsScenario
 // ---------------------------------------------------------------------------
@@ -510,37 +551,84 @@ Scenario::Outcome ViewStatsScenario::run_once(const SchedOptions& opts) {
   for (const std::string& e : res.thread_errors) {
     sink.note("worker exception: " + e);
   }
+  check_counter_books(view, cell, attempts.load(), commits.load(), sink);
+  return Outcome{std::move(res), sink.take()};
+}
 
-  // The one initialising transaction is part of the books.
-  const std::uint64_t att = attempts.load() + 1;
-  const std::uint64_t com = commits.load() + 1;
-  const stm::Word final_value = core::vread(cell);
-  const stm::StatsSnapshot st = view.stats();
-  if (st.commits != com) {
-    std::ostringstream os;
-    os << "stats conservation: view counted " << st.commits
-       << " commits, scenario observed " << com;
-    sink.note(os.str());
+// ---------------------------------------------------------------------------
+// LockModeScenario
+// ---------------------------------------------------------------------------
+
+std::string LockModeScenario::name() const {
+  std::ostringstream os;
+  os << "lock-mode/" << stm::to_string(cfg_.algo) << "/w" << cfg_.workers
+     << "x" << cfg_.txs_per_worker << "q" << cfg_.workers;
+  for (unsigned q : cfg_.quota_walk) os << "-" << q;
+  return os.str();
+}
+
+Scenario::Outcome LockModeScenario::run_once(const SchedOptions& opts) {
+  core::ViewConfig vc;
+  vc.algo = cfg_.algo;
+  vc.max_threads = cfg_.workers;
+  vc.rac = core::RacMode::kFixed;  // only the mutator moves the quota
+  vc.fixed_quota = cfg_.workers;
+  vc.initial_bytes = 1 << 16;
+  core::View view(vc);
+  auto* cell = static_cast<stm::Word*>(view.alloc(sizeof(stm::Word)));
+  view.execute([&] { core::vwrite<stm::Word>(cell, 0); });
+
+  ViolationSink sink;
+  std::atomic<std::uint64_t> attempts{0};     // body invocations
+  std::atomic<std::uint64_t> commits{0};      // bodies that committed
+  std::atomic<std::uint64_t> lock_bodies{0};  // of which in lock mode
+  std::atomic<int> lock_inside{0};  // lock-mode bodies running now
+  std::atomic<int> spec_inside{0};  // speculative bodies running now
+  const unsigned mutator = cfg_.workers;  // thread index of the mutator
+
+  // Counts a body out on every exit, including a conflict's unwind. The
+  // abort path leaves admission before it throws, with no schedule point
+  // in between, so a counted-in body is always an admitted one.
+  struct CountedIn {
+    std::atomic<int>& inside;
+    ~CountedIn() { inside.fetch_sub(1, std::memory_order_relaxed); }
+  };
+
+  CoopScheduler sched(cfg_.workers + 1, opts);
+  SchedResult res = sched.run([&](unsigned t) {
+    if (t == mutator) {
+      for (unsigned q : cfg_.quota_walk) view.set_quota(q);
+      return;
+    }
+    for (unsigned j = 0; j < cfg_.txs_per_worker; ++j) {
+      view.execute([&] {
+        attempts.fetch_add(1, std::memory_order_relaxed);
+        const bool lock_mode = !core::thread_ctx().tx.engine->speculative();
+        std::atomic<int>& mine = lock_mode ? lock_inside : spec_inside;
+        const int before = mine.fetch_add(1, std::memory_order_relaxed);
+        CountedIn counted{mine};
+        if (lock_mode) {
+          lock_bodies.fetch_add(1, std::memory_order_relaxed);
+          if (before != 0) sink.note("two lock-mode bodies run at once");
+          if (spec_inside.load(std::memory_order_relaxed) != 0) {
+            sink.note("a lock-mode body runs beside a speculative body");
+          }
+        } else if (lock_inside.load(std::memory_order_relaxed) != 0) {
+          sink.note("a speculative body runs beside a lock-mode body");
+        }
+        const stm::Word v = core::vread(cell);
+        sched_point(SchedPointId::kStmWrite);
+        core::vwrite<stm::Word>(cell, v + 1);
+      });
+      commits.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  lock_bodies_ += lock_bodies.load();
+
+  for (const std::string& e : res.thread_errors) {
+    sink.note("worker exception: " + e);
   }
-  if (st.commits + st.aborts != att) {
-    std::ostringstream os;
-    os << "stats conservation: " << att << " body attempts but commits("
-       << st.commits << ") + aborts(" << st.aborts << ") = "
-       << st.commits + st.aborts
-       << " — an abort path failed to account its event";
-    sink.note(os.str());
-  }
-  // Every committed body did exactly one increment; the initialising tx
-  // wrote 0. Exception and conflict attempts must leave no trace.
-  if (final_value != com - 1) {
-    std::ostringstream os;
-    os << "counter mismatch: " << com - 1 << " committed increments but the "
-       << "cell reads " << final_value;
-    sink.note(os.str());
-  }
-  if (view.admission().admitted() != 0) {
-    sink.note("admission ledger nonzero after quiescence");
-  }
+  check_counter_books(view, cell, attempts.load(), commits.load(), sink);
   return Outcome{std::move(res), sink.take()};
 }
 

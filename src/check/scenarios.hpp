@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "check/oracle.hpp"
 #include "stm/factory.hpp"
@@ -47,8 +48,8 @@ struct StmRandomConfig {
   unsigned write_pct = 50;
   // Probability (percent) that an op re-touches the PREVIOUS op's variable
   // instead of drawing a fresh one. Nonzero values drive the duplicate
-  // paths — the orec read-log dedup and the value-log adjacent-read
-  // collapse — under schedule exploration. 0 keeps the legacy op stream.
+  // paths — the adjacent-read collapse of the orec and value read logs —
+  // under schedule exploration. 0 keeps the legacy op stream.
   unsigned reread_pct = 0;
   // Version-clock policy for the orec engines (stm/clock.hpp); ignored by
   // NOrec/TML/CGL. Named in the scenario string when not GV1, so repro
@@ -206,6 +207,41 @@ class ViewStatsScenario final : public Scenario {
 
  private:
   ViewStatsConfig cfg_;
+};
+
+// Lock mode under a moving quota (DESIGN.md §11). Lock mode takes no lock
+// of its own: its exclusion rests on admission alone, since a grant whose
+// quota snapshot is 1 admits nobody else. Workers increment one word
+// through View::execute as vread, a schedule point, then vwrite — lock-mode
+// accesses have no schedule points of their own, so without the explicit
+// one a lost update could not show — while a mutator walks the quota
+// through `quota_walk` from Q = workers. Oracles:
+//   * the counter is exact;
+//   * bodies count themselves in and out by mode: at most one lock-mode
+//     body runs at a time, and no speculative body runs beside one;
+//   * stats conservation and a drained admission ledger after the run.
+// Under the kLockModeStaleQuota mutation (View::enter picks the mode from a
+// fresh quota load) these oracles must fire.
+struct LockModeConfig {
+  stm::Algo algo = stm::Algo::kNOrec;  // a speculative engine
+  unsigned workers = 3;                // also max_threads and the first Q
+  unsigned txs_per_worker = 2;
+  std::vector<unsigned> quota_walk = {1, 3, 1};  // the mutator's set_quota
+};
+
+class LockModeScenario final : public Scenario {
+ public:
+  explicit LockModeScenario(LockModeConfig cfg) : cfg_(std::move(cfg)) {}
+  std::string name() const override;
+  Outcome run_once(const SchedOptions& opts) override;
+
+  // Whole-campaign count of lock-mode bodies (vacuity check: a campaign in
+  // which no body ran in lock mode proved nothing).
+  std::uint64_t lock_mode_bodies() const noexcept { return lock_bodies_; }
+
+ private:
+  LockModeConfig cfg_;
+  std::uint64_t lock_bodies_ = 0;
 };
 
 // Grace-period reclamation race (DESIGN.md §17): thread 0 — the freer —

@@ -55,8 +55,6 @@ enum class SchedPointId : std::uint8_t {
   kStmReadRetry,        // between a value load and its consistency re-check
   kStmWrite,            // write path, before lock acquisition / buffering
   kStmValidate,         // read-set validation entry
-  kStmValidateFilter,   // NOrec: between the seq sample and the ring scan
-                        // of the signature-filter fast path
   kStmCommit,           // commit entry
   kStmCommitLock,       // before commit-time lock/clock acquisition
   kStmCommitWriteback,  // between acquisition and (each) write-back store
@@ -75,7 +73,11 @@ enum class SchedPointId : std::uint8_t {
   kCmVictimChoice,      // before a victim-choice priority comparison
                         // (foreign-lock encounter or NOrec pre-commit
                         // arbitration; DESIGN.md §20)
-  kCglLock,             // waiting for the CGL/lock-mode mutex (yield)
+  kCglLock,             // waiting for the CGL mutex (yield)
+  // --- view layer ----------------------------------------------------------
+  kViewQuotaReload,     // kLockModeStaleQuota mutation only: between the
+                        // admission and the fresh quota load it picks the
+                        // mode from
   // --- admission controller ----------------------------------------------
   kAdmCas,              // before a gated admission CAS attempt
   kAdmSlotEnter,        // before an open-mode slot entry
@@ -105,7 +107,6 @@ inline const char* to_string(SchedPointId id) noexcept {
     case SchedPointId::kStmReadRetry: return "stm.read-retry";
     case SchedPointId::kStmWrite: return "stm.write";
     case SchedPointId::kStmValidate: return "stm.validate";
-    case SchedPointId::kStmValidateFilter: return "stm.validate-filter";
     case SchedPointId::kStmCommit: return "stm.commit";
     case SchedPointId::kStmCommitLock: return "stm.commit-lock";
     case SchedPointId::kStmCommitWriteback: return "stm.commit-writeback";
@@ -119,6 +120,7 @@ inline const char* to_string(SchedPointId id) noexcept {
     case SchedPointId::kCmWait: return "cm.wait";
     case SchedPointId::kCmVictimChoice: return "cm.victim-choice";
     case SchedPointId::kCglLock: return "cgl.lock";
+    case SchedPointId::kViewQuotaReload: return "view.quota-reload";
     case SchedPointId::kAdmCas: return "adm.cas";
     case SchedPointId::kAdmSlotEnter: return "adm.slot-enter";
     case SchedPointId::kAdmSlotPublished: return "adm.slot-published";

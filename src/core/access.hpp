@@ -1,12 +1,16 @@
 // Typed transactional accessors.
 //
-// vread/vwrite are the only sanctioned way to touch view memory. Inside a
-// transaction they route through the view's engine at word granularity
-// (sub-word types are handled by read-modify-write on the containing
-// word); outside a transaction — including lock mode (Q == 1), where the
-// engine is non-speculative — the engine short-circuits to plain atomic
-// loads/stores, which is the paper's "the transactional mechanism is no
-// longer used to access the view".
+// vread/vwrite are the only sanctioned way to touch view memory. They
+// inline into the transaction body, load the thread's barrier byte
+// (TxThread::barrier, set when the transaction begins) and branch once:
+//   * speculative engines route the access through the view's engine, one
+//     virtual call per word (sub-word types are handled by read-modify-
+//     write on the containing word);
+//   * outside a transaction, in lock mode (Q == 1) and in a CGL view the
+//     access is a plain atomic load_word/store_word with no call, which is
+//     the paper's "the transactional mechanism is no longer used to access
+//     the view". Only a write inside a read-only lock-mode transaction
+//     takes the engine's cold path, which reports the misuse.
 //
 // Requirements: T trivially copyable, sizeof(T) <= 8, naturally aligned.
 #pragma once
@@ -37,63 +41,63 @@ inline stm::Word* containing_word(void* addr, unsigned* byte_offset) {
   return reinterpret_cast<stm::Word*>(word_addr);
 }
 
+// One word through the barrier `bit` selects. A set bit means the thread's
+// context runs the transaction, so tls_tx is its descriptor.
+inline stm::Word read_word(const stm::Word* word, std::uint8_t bit) {
+  if ((tls_barrier & bit) != 0) {
+    stm::TxThread& tx = *tls_tx;
+    return tx.engine->read(tx, word);
+  }
+  return stm::load_word(word);
+}
+
+inline void write_word(stm::Word* word, stm::Word raw) {
+  if ((tls_barrier & stm::kWriteBarrier) != 0) {
+    stm::TxThread& tx = *tls_tx;
+    tx.engine->write(tx, word, raw);
+  } else {
+    stm::store_word(word, raw);
+  }
+}
+
 }  // namespace detail
 
 template <typename T>
-T vread(const T* addr) {
+inline T vread(const T* addr) {
   detail::check_type<T>();
-  ThreadCtx& tc = thread_ctx();
-  stm::TxThread& tx = tc.tx;
-
+  T out;
   if constexpr (sizeof(T) == sizeof(stm::Word)) {
-    stm::Word raw;
-    if (tx.in_tx) {
-      raw = tx.engine->read(tx, reinterpret_cast<const stm::Word*>(addr));
-    } else {
-      raw = stm::load_word(reinterpret_cast<const stm::Word*>(addr));
-    }
-    T out;
+    const stm::Word raw = detail::read_word(
+        reinterpret_cast<const stm::Word*>(addr), stm::kReadBarrier);
     std::memcpy(&out, &raw, sizeof(T));
-    return out;
   } else {
     unsigned offset = 0;
     const stm::Word* word = detail::containing_word(
         const_cast<void*>(static_cast<const void*>(addr)), &offset);
-    const stm::Word raw =
-        tx.in_tx ? tx.engine->read(tx, word) : stm::load_word(word);
-    T out;
+    const stm::Word raw = detail::read_word(word, stm::kReadBarrier);
     std::memcpy(&out, reinterpret_cast<const char*>(&raw) + offset, sizeof(T));
-    return out;
   }
+  return out;
 }
 
 template <typename T>
-void vwrite(T* addr, T value) {
+inline void vwrite(T* addr, T value) {
   detail::check_type<T>();
-  ThreadCtx& tc = thread_ctx();
-  stm::TxThread& tx = tc.tx;
-
   if constexpr (sizeof(T) == sizeof(stm::Word)) {
     stm::Word raw;
     std::memcpy(&raw, &value, sizeof(T));
-    if (tx.in_tx) {
-      tx.engine->write(tx, reinterpret_cast<stm::Word*>(addr), raw);
-    } else {
-      stm::store_word(reinterpret_cast<stm::Word*>(addr), raw);
-    }
+    detail::write_word(reinterpret_cast<stm::Word*>(addr), raw);
   } else {
     // Sub-word write: read-modify-write the containing word through the
     // engine, so conflict detection covers the whole word (a sound
-    // over-approximation, identical to word-based RSTM).
+    // over-approximation, identical to word-based RSTM). The read takes
+    // the write's barrier: a misused read-only transaction must still
+    // reach the engine's write.
     unsigned offset = 0;
     stm::Word* word = detail::containing_word(addr, &offset);
-    stm::Word raw = tx.in_tx ? tx.engine->read(tx, word) : stm::load_word(word);
+    stm::Word raw = detail::read_word(word, stm::kWriteBarrier);
     std::memcpy(reinterpret_cast<char*>(&raw) + offset, &value, sizeof(T));
-    if (tx.in_tx) {
-      tx.engine->write(tx, word, raw);
-    } else {
-      stm::store_word(word, raw);
-    }
+    detail::write_word(word, raw);
   }
 }
 
@@ -101,18 +105,21 @@ void vwrite(T* addr, T value) {
 // read-modify-write. Encounter-time engines lock the word here instead of
 // at the write, and a transaction whose first access this is waits a
 // bounded time for a foreign lock rather than aborting (DESIGN.md §22);
-// every other engine, lock mode and serial mode read as vread does.
-// Sub-word types take the containing word.
+// every other engine and serial mode read as vread does, and lock mode
+// reads plainly. It takes the write barrier, so a read-only transaction
+// reports the misuse. Sub-word types take the containing word.
 template <typename T>
-T vread_for_write(T* addr) {
+inline T vread_for_write(T* addr) {
   detail::check_type<T>();
-  ThreadCtx& tc = thread_ctx();
-  stm::TxThread& tx = tc.tx;
-
   unsigned offset = 0;
   stm::Word* word = detail::containing_word(addr, &offset);
-  const stm::Word raw =
-      tx.in_tx ? tx.engine->read_for_write(tx, word) : stm::load_word(word);
+  stm::Word raw;
+  if ((detail::tls_barrier & stm::kWriteBarrier) != 0) {
+    stm::TxThread& tx = *detail::tls_tx;
+    raw = tx.engine->read_for_write(tx, word);
+  } else {
+    raw = stm::load_word(word);
+  }
   T out;
   std::memcpy(&out, reinterpret_cast<const char*>(&raw) + offset, sizeof(T));
   return out;

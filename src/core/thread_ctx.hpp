@@ -8,6 +8,7 @@
 #pragma once
 
 #include <csetjmp>
+#include <cstdint>
 #include <vector>
 
 #include "stm/engine.hpp"
@@ -17,8 +18,21 @@ namespace votm::core {
 class Arena;
 class View;
 
+namespace detail {
+// The thread's ThreadCtx::tx and its barrier byte (TxThread::barrier), in
+// trivially initialised thread-local storage, so that vread/vwrite reach
+// them with plain TLS loads and no construction guard. The byte is written
+// only through tx, so a nonzero byte means the context exists and tls_tx
+// points at its descriptor.
+inline thread_local std::uint8_t tls_barrier = 0;
+inline thread_local stm::TxThread* tls_tx = nullptr;
+}  // namespace detail
+
 struct ThreadCtx {
-  stm::TxThread tx;
+  ThreadCtx() noexcept { detail::tls_tx = &tx; }
+  ~ThreadCtx() { detail::tls_tx = nullptr; }
+
+  stm::TxThread tx{detail::tls_barrier};
 
   // Active view while inside an acquire/release (or View::execute) pair.
   View* active_view = nullptr;
@@ -50,7 +64,11 @@ struct ThreadCtx {
   bool epoch_pinned = false;
 };
 
-// The calling thread's context (thread-local singleton).
-ThreadCtx& thread_ctx();
+// The calling thread's context (thread-local singleton). Inline, so that
+// the lookup is a TLS access in the caller rather than a call.
+inline ThreadCtx& thread_ctx() {
+  thread_local ThreadCtx ctx;
+  return ctx;
+}
 
 }  // namespace votm::core

@@ -171,16 +171,23 @@ void View::enter(ThreadCtx& tc, bool read_only) {
       engine->begin_serial(tx);
       return;
     }
-    const unsigned q = admission_.admit();
+    unsigned q = admission_.admit();
+    // Mutation: pick the mode from a fresh quota load, a step after the
+    // admission, so a set_quota can land in between.
+    if (VOTM_FAULT(kLockModeStaleQuota)) {
+      VOTM_SCHED_POINT(kViewQuotaReload);
+      q = admission_.quota();
+    }
     // engine_ must be sampled only after admission: switch_algorithm swaps
     // it while the view is paused and drained, and the admission gate's
     // release (resume) / acquire (admit) pair on the packed state word is
     // what orders the swap before this read (see DESIGN.md §11).
     engine = engine_.get();
-    // Lock mode: quota 1 admits exactly one thread; uninstrumented accesses
-    // behind the view mutex (the quota snapshot was taken atomically with
-    // the admission, and raising Q out of 1 drains the view first, so a
-    // lock-mode execution can never overlap a transactional one).
+    // Lock mode: a grant at quota 1 admits exactly one thread, and its
+    // accesses run uninstrumented with no lock of their own. The quota
+    // snapshot was taken atomically with the admission, and raising Q out
+    // of 1 drains the view first, so a lock-mode execution can never
+    // overlap another execution of either mode.
     if (q == 1 && engine->speculative()) {
       engine = &lock_engine_;
     }
@@ -191,7 +198,7 @@ void View::enter(ThreadCtx& tc, bool read_only) {
   // the grace-period horizon cannot pass this transaction's era, so no
   // block it can still reach through view memory is handed back to the
   // arena — even if the transaction is already doomed (stm/epoch.hpp).
-  // Lock mode (CGL) runs uninstrumented behind the view mutex and frees
+  // Lock mode (CGL) runs uninstrumented and alone in the view and frees
   // immediately; it never pins.
   if (engine->speculative()) {
     epoch_.enter();
@@ -222,8 +229,7 @@ void View::exit(ThreadCtx& tc) {
   tx.last_tx_cycles = stm::tx_elapsed_cycles(tx);
   totals_.add_commit(tx.last_tx_cycles);
   if (config_.collect_latency) commit_latency_.record(tx.last_tx_cycles);
-  tx.in_tx = false;
-  tx.engine = nullptr;
+  stm::end_common(tx);
   tx.consecutive_aborts = 0;
   tx.backoff.reset();
   tx.deadline = Deadline::none();  // the run is over; budgets never leak
@@ -340,8 +346,7 @@ void View::abort_for_exception(ThreadCtx& tc) {
     tx.last_tx_cycles = stm::tx_elapsed_cycles(tx);
     totals_.add_abort(tx.last_tx_cycles);
     if (config_.collect_latency) abort_latency_.record(tx.last_tx_cycles);
-    tx.in_tx = false;
-    tx.engine = nullptr;
+    stm::end_common(tx);
   }
   // The retry streak ends here (no retry follows), so the backoff state
   // must not leak into this thread's next, unrelated transaction.

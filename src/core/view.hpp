@@ -5,8 +5,8 @@
 // (3) a RAC admission controller with quota Q in [1, N]:
 //
 //   acquire_view:  admit (block while P >= Q), then begin a transaction;
-//                  at Q == 1 the view switches to lock mode and accesses
-//                  run uninstrumented behind the view mutex.
+//                  at Q == 1 the view switches to lock mode: the grant
+//                  admits nobody else, and accesses run uninstrumented.
 //   release_view:  try to commit; on failure roll back, leave (P -= 1) and
 //                  re-acquire — exactly the paper's Sec. II protocol.
 //
@@ -297,7 +297,9 @@ class View {
 
   ViewConfig config_;
   std::unique_ptr<stm::TxEngine> engine_;
-  stm::CglEngine lock_engine_;  // Q == 1 fallback (paper Sec. II)
+  // Q == 1 fallback (paper Sec. II). No mutex: the Q == 1 grant that picks
+  // it is already exclusive (DESIGN.md §11).
+  stm::CglEngine lock_engine_{/*take_mutex=*/false};
   Arena arena_;
   rac::AdmissionController admission_;
   rac::AdaptivePolicy policy_;

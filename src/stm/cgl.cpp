@@ -6,20 +6,23 @@
 namespace votm::stm {
 
 void CglEngine::begin(TxThread& tx) {
-  if (votm::check::thread_intercepted()) {
-    // Cooperative harness: a parked thread holding mu_ would deadlock any
-    // peer hard-blocked in mu_.lock(), so intercepted threads spin with a
-    // yield point instead of blocking.
-    while (!mu_.try_lock()) {
-      VOTM_SCHED_YIELD_POINT(kCglLock);
+  if (take_mutex_) {
+    if (votm::check::thread_intercepted()) {
+      // Cooperative harness: a parked thread holding mu_ would deadlock any
+      // peer hard-blocked in mu_.lock(), so intercepted threads spin with a
+      // yield point instead of blocking.
+      while (!mu_.try_lock()) {
+        VOTM_SCHED_YIELD_POINT(kCglLock);
+      }
+    } else {
+      mu_.lock();
     }
-  } else {
-    mu_.lock();
   }
-  tx.snapshot = 1;  // "holding the view lock" marker for rollback()
+  tx.snapshot = 1;  // "inside the critical section" marker for rollback()
   // Accounting starts after acquisition: queueing for the lock is
-  // admission time, not transaction time.
-  begin_common(tx, this);
+  // admission time, not transaction time. Accesses are plain, except a
+  // read-only transaction's writes, which must reach write() below.
+  begin_common(tx, this, tx.read_only ? kWriteBarrier : 0);
 }
 
 Word CglEngine::read(TxThread& tx, const Word* addr) {
@@ -37,15 +40,15 @@ void CglEngine::write(TxThread& tx, Word* addr, Word value) {
 void CglEngine::commit(TxThread& tx) {
   VOTM_SCHED_POINT(kStmCommit);
   tx.snapshot = 0;
-  mu_.unlock();
+  if (take_mutex_) mu_.unlock();
 }
 
 void CglEngine::rollback(TxThread& tx) {
-  // Reachable only via user exceptions (CGL never conflicts); in-place
-  // writes stand, the lock must be released.
+  // Reachable only via user exceptions and misuse (CGL never conflicts);
+  // in-place writes stand, the critical section must end.
   if (tx.snapshot == 1) {
     tx.snapshot = 0;
-    mu_.unlock();
+    if (take_mutex_) mu_.unlock();
   }
 }
 

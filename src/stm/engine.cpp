@@ -36,8 +36,7 @@ void TxThread::conflict(ConflictKind kind) {
   if (stats != nullptr) {
     stats->add_abort(last_tx_cycles);
   }
-  in_tx = false;
-  engine = nullptr;
+  end_common(*this);
   ++consecutive_aborts;
   // Karma (DESIGN.md §20): work thrown away is priority earned. The +1
   // keeps the rank moving when cycle collection is off; under the
@@ -58,8 +57,7 @@ void TxThread::conflict(ConflictKind kind) {
 void TxThread::misuse(const char* what) {
   engine->rollback(*this);
   clear_logs();
-  in_tx = false;
-  engine = nullptr;
+  end_common(*this);
   cm.end_run();  // the run dies here; its priority must not leak
   if (on_misuse != nullptr) {
     on_misuse(*this);

@@ -38,12 +38,33 @@ struct OwnedOrec {
   std::uint64_t old_version;
 };
 
+// TxThread::barrier bits: which word accesses core::vread/vwrite (and
+// vread_for_write) route through the engine. Speculative engines take both.
+// Lock mode and CGL take none, so an access is a plain load_word/store_word,
+// except in a read-only transaction, whose writes still reach the engine
+// so that it can report the misuse.
+inline constexpr std::uint8_t kReadBarrier = 1;
+inline constexpr std::uint8_t kWriteBarrier = 2;
+inline constexpr std::uint8_t kAllBarriers = kReadBarrier | kWriteBarrier;
+
 // Per-thread transaction descriptor. One per OS thread (thread_local in the
 // core layer); engines keep no per-thread state of their own.
 struct TxThread {
+  TxThread() noexcept : barrier(own_barrier_) {}
+  // A descriptor whose barrier byte lives elsewhere: core::ThreadCtx keeps
+  // it in trivially initialised thread-local storage, where the accessors
+  // read it without touching the descriptor.
+  explicit TxThread(std::uint8_t& barrier_byte) noexcept
+      : barrier(barrier_byte) {}
+  TxThread(const TxThread&) = delete;
+  TxThread& operator=(const TxThread&) = delete;
+
   // --- identity / control -------------------------------------------------
   TxEngine* engine = nullptr;  // engine of the active transaction, else null
   bool in_tx = false;
+  // The running transaction's kReadBarrier/kWriteBarrier bits; zero
+  // outside a transaction. Set by begin_common, cleared by end_common.
+  std::uint8_t& barrier;
   bool read_only = false;
   AbortMode abort_mode = AbortMode::kThrow;
   std::jmp_buf* checkpoint = nullptr;  // valid in kLongjmp mode
@@ -61,7 +82,7 @@ struct TxThread {
   // --- logs (engine-specific subsets are used) ----------------------------
   WriteSet wset;                  // redo log (NOrec, OrecEagerRedo)
   ValueReadLog vlog;              // value-based read log (NOrec)
-  OrecReadLog rlog;               // deduped orec read log (orec engines)
+  OrecReadLog rlog;               // orec read log (orec engines)
   std::vector<OwnedOrec> wlocks;  // orecs locked at encounter time
 
   // --- snapshots -----------------------------------------------------------
@@ -120,6 +141,9 @@ struct TxThread {
     rlog.clear();
     wlocks.clear();
   }
+
+ private:
+  std::uint8_t own_barrier_ = 0;
 };
 
 // Orec::pack_owner tags the owner TxThread* with the orec word's LSB lock
@@ -206,11 +230,21 @@ class TxEngine {
 // call this at the end of begin(), after any initial waiting (waiting for a
 // writer's sequence lock or a mutex is admission time, not transaction
 // time, and must not pollute the delta(Q) estimate).
-inline void begin_common(TxThread& tx, TxEngine* engine) noexcept {
+inline void begin_common(TxThread& tx, TxEngine* engine,
+                         std::uint8_t barrier = kAllBarriers) noexcept {
   tx.engine = engine;
   tx.in_tx = true;
+  tx.barrier = barrier;
   tx.tx_start_cycles = tx.collect_cycles ? rdcycles() : 0;
   tx.excluded_cycles = 0;
+}
+
+// Marks the end of a transaction (commit, abort or misuse): the thread's
+// accesses are plain again.
+inline void end_common(TxThread& tx) noexcept {
+  tx.in_tx = false;
+  tx.engine = nullptr;
+  tx.barrier = 0;
 }
 
 // Cycles this transaction has consumed so far, net of excluded time.
@@ -235,8 +269,7 @@ void atomically(TxEngine& engine, TxThread& tx, Body&& body) {
       if (tx.stats != nullptr) {
         tx.stats->add_commit(tx.last_tx_cycles);
       }
-      tx.in_tx = false;
-      tx.engine = nullptr;
+      end_common(tx);
       tx.consecutive_aborts = 0;
       tx.backoff.reset();
       tx.cm.end_run();
@@ -257,8 +290,7 @@ void atomically(TxEngine& engine, TxThread& tx, Body&& body) {
       // User exception: roll back side effects, then propagate.
       engine.rollback(tx);
       tx.clear_logs();
-      tx.in_tx = false;
-      tx.engine = nullptr;
+      end_common(tx);
       tx.cm.end_run();
       throw;
     }

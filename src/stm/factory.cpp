@@ -179,8 +179,7 @@ FactoryStats factory_stats() noexcept {
 std::unique_ptr<TxEngine> make_engine(Algo algo, const EngineConfig& config) {
   switch (algo) {
     case Algo::kNOrec:
-      return std::make_unique<NOrecEngine>(config.norec_commit_filters,
-                                           sanitized_cm_runtime(config));
+      return std::make_unique<NOrecEngine>(sanitized_cm_runtime(config));
     case Algo::kOrecEagerRedo:
       return std::make_unique<OrecEagerRedoEngine>(
           sanitized_orec_table_config(config), config.clock_policy,

@@ -38,10 +38,6 @@ struct EngineConfig {
   // at the price of false conflicts between stripe-sharing neighbors;
   // bench/micro_granularity maps the tradeoff.
   unsigned orec_granularity_shift = OrecTable::kDefaultGranularityShift;
-  // NOrec commit-signature broadcast (validation filtering); the orec
-  // engines' read-log dedup is a per-TxThread knob, not an engine one.
-  // Default follows the VOTM_VALIDATION_FILTERS CMake option.
-  bool norec_commit_filters = kValidationFiltersDefault;
   // Version-clock timestamp-allocation policy for the orec engines
   // (GV1/GV4/GV5, see stm/clock.hpp). NOrec/TML keep their sequence lock;
   // the setting is ignored there. Per view, like everything else in

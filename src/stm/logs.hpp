@@ -16,13 +16,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "stm/signature.hpp"
-
 namespace votm::stm {
 
 using Word = std::uint64_t;
 
 class Orec;  // orec_table.hpp
+
+// The write set's index hash: finalizer-style mixing over the word-aligned
+// pointer bits.
+inline std::size_t addr_hash(const void* addr) noexcept {
+  auto x = reinterpret_cast<std::uintptr_t>(addr) >> 3;
+  x ^= x >> 17;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  return static_cast<std::size_t>(x);
+}
 
 // Shrink-with-hysteresis for the reusable per-transaction logs. A log only
 // gives capacity back when (a) it is holding more than kLogShrinkCapacity
@@ -51,10 +59,8 @@ bool maybe_shrink_log(Vec& v, std::size_t last_used,
 }
 
 // Redo-log write set: address -> speculative value, insertion-ordered for
-// write-back, with an open-addressing index for O(1) read-after-write
-// lookups and a signature filter to skip lookups entirely when the address
-// cannot be present. The filter doubles as the transaction's write-set
-// signature for NOrec's commit broadcast (see signature.hpp).
+// write-back, with an open-addressing index (at most half full) for O(1)
+// read-after-write lookups.
 class WriteSet {
  public:
   struct Entry {
@@ -71,7 +77,6 @@ class WriteSet {
     const std::size_t used = entries_.size();
     if (used == 0) return;
     entries_.clear();
-    filter_.clear();
     if (maybe_shrink_log(entries_, used, low_use_clears_)) {
       rebuild_index(kInitialIndex);
     } else {
@@ -79,18 +84,10 @@ class WriteSet {
     }
   }
 
-  // Returns true if addr may be present (cheap pre-check). lookup() runs
-  // the identical signature check internally; callers that only need the
-  // value should call lookup() directly and not pay the check twice.
-  bool maybe_contains(const Word* addr) const noexcept {
-    return filter_.maybe_contains_hash(addr_hash(addr));
-  }
-
   // Inserts or overwrites the speculative value for addr.
   void insert(Word* addr, Word value) {
-    const std::size_t h = addr_hash(addr);
     const std::size_t mask = index_.size() - 1;
-    std::size_t slot = h & mask;
+    std::size_t slot = addr_hash(addr) & mask;
     while (index_[slot] != kEmpty) {
       if (entries_[static_cast<std::size_t>(index_[slot])].addr == addr) {
         entries_[static_cast<std::size_t>(index_[slot])].value = value;
@@ -100,17 +97,13 @@ class WriteSet {
     }
     index_[slot] = static_cast<std::int32_t>(entries_.size());
     entries_.push_back(Entry{addr, value});
-    filter_.add_hash(h);
     if (entries_.size() * 2 > index_.size()) grow();
   }
 
-  // Looks up addr; returns pointer to the logged value or nullptr. The
-  // signature check and the probe share one hash computation.
+  // Looks up addr; returns pointer to the logged value or nullptr.
   const Word* lookup(const Word* addr) const noexcept {
-    const std::size_t h = addr_hash(addr);
-    if (!filter_.maybe_contains_hash(h)) return nullptr;
     const std::size_t mask = index_.size() - 1;
-    std::size_t slot = h & mask;
+    std::size_t slot = addr_hash(addr) & mask;
     while (index_[slot] != kEmpty) {
       const Entry& e = entries_[static_cast<std::size_t>(index_[slot])];
       if (e.addr == addr) return &e.value;
@@ -121,9 +114,6 @@ class WriteSet {
 
   // Insertion-ordered iteration for commit-time write-back.
   const std::vector<Entry>& entries() const noexcept { return entries_; }
-
-  // Write-set signature for NOrec's commit broadcast.
-  const SigFilter& filter() const noexcept { return filter_; }
 
  private:
   static constexpr std::int32_t kEmpty = -1;
@@ -143,7 +133,6 @@ class WriteSet {
 
   std::vector<Entry> entries_;
   std::vector<std::int32_t> index_;
-  SigFilter filter_;
   unsigned low_use_clears_ = 0;
 };
 
@@ -164,7 +153,6 @@ class ValueReadLog {
   void clear() noexcept {
     const std::size_t used = entries_.size();
     entries_.clear();
-    filter_.clear();
     maybe_shrink_log(entries_, used, low_use_clears_);
   }
   bool empty() const noexcept { return entries_.empty(); }
@@ -176,7 +164,6 @@ class ValueReadLog {
       return;
     }
     entries_.push_back({addr, value});
-    filter_.add(addr);
   }
 
   // True if every logged location still holds its logged value.
@@ -189,110 +176,40 @@ class ValueReadLog {
     return true;
   }
 
-  // Read-set signature, intersected against committer write signatures in
-  // NOrec's filtered validation.
-  const SigFilter& filter() const noexcept { return filter_; }
-
   const std::vector<Entry>& entries() const noexcept { return entries_; }
 
  private:
   std::vector<Entry> entries_;
-  SigFilter filter_;
   unsigned low_use_clears_ = 0;
 };
 
-// Orec read log for the orec-based engines. With dedup enabled (the
-// default; mirrors WriteSet's open-addressing index) repeated reads of the
-// same stripe log once, so read_log_valid()/extend() scan O(unique orecs)
-// instead of O(reads) — under stripe aliasing (small orec tables, hot
-// arrays) the difference is the whole validation cost. A 64-bit pointer
-// signature skips the duplicate probe for first-seen orecs. With dedup
-// disabled the log degenerates to the old append-only vector; the knob
-// exists for bench/micro_validation's A/B and must only be flipped while
-// the log is empty.
+// Orec read log for the orec-based engines: the orecs a transaction read
+// through, scanned by read-log validation and timestamp extension. Like
+// ValueReadLog it collapses only adjacent repeats — one compare, which
+// bounds a tight re-read loop of one stripe — and otherwise appends, so
+// a transaction that re-reads a stripe later logs it again (validation is
+// per-orec idempotent).
 class OrecReadLog {
  public:
-  OrecReadLog() { index_.assign(kInitialIndex, kEmpty); }
-
-  // Orecs are elements of one contiguous table (orec_table.hpp), packed at
-  // an 8 B stride. Dropping only the always-zero word bits and xor-folding
-  // the next-higher bits down keeps line-mates distinct (a `>> 6` hash gave
-  // all eight orecs of a line one value: eight-way probe pile-ups and a
-  // degenerate 64-bit signature). The fold is a bijection, so distinct
-  // orecs still never collide before the index mask is applied.
-  static std::size_t orec_hash(const Orec* orec) noexcept {
-    auto x = reinterpret_cast<std::uintptr_t>(orec) >> 3;
-    x ^= x >> 3;
-    return static_cast<std::size_t>(x);
-  }
-
   bool empty() const noexcept { return entries_.empty(); }
   std::size_t size() const noexcept { return entries_.size(); }
-
-  bool dedup() const noexcept { return dedup_; }
-  void set_dedup(bool on) noexcept { dedup_ = on; }
 
   void clear() noexcept {
     const std::size_t used = entries_.size();
     if (used == 0) return;
     entries_.clear();
-    filter_ = 0;
-    if (maybe_shrink_log(entries_, used, low_use_clears_)) {
-      index_.assign(kInitialIndex, kEmpty);
-    } else {
-      std::fill(index_.begin(), index_.end(), kEmpty);
-    }
+    maybe_shrink_log(entries_, used, low_use_clears_);
   }
 
   void push(const Orec* orec) {
-    if (!dedup_) {
-      entries_.push_back(orec);
-      return;
-    }
-    // Tight re-read loops hit the same stripe back to back; one compare
-    // catches those before any hashing or probing.
     if (!entries_.empty() && entries_.back() == orec) return;
-    const std::size_t h = orec_hash(orec);
-    const std::uint64_t sig = std::uint64_t{1} << (h & 63);
-    // On a filter miss the orec is provably new: probe only for the free
-    // slot, skipping the equality checks.
-    const bool check_dups = (filter_ & sig) != 0;
-    const std::size_t mask = index_.size() - 1;
-    std::size_t slot = h & mask;
-    while (index_[slot] != kEmpty) {
-      if (check_dups &&
-          entries_[static_cast<std::size_t>(index_[slot])] == orec) {
-        return;  // already logged; validation is per-orec idempotent
-      }
-      slot = (slot + 1) & mask;
-    }
-    index_[slot] = static_cast<std::int32_t>(entries_.size());
     entries_.push_back(orec);
-    filter_ |= sig;
-    if (entries_.size() * 2 > index_.size()) grow();
   }
 
   const std::vector<const Orec*>& entries() const noexcept { return entries_; }
 
  private:
-  static constexpr std::int32_t kEmpty = -1;
-  static constexpr std::size_t kInitialIndex = 16;
-
-  void grow() {
-    const std::size_t n = index_.size() * 2;
-    index_.assign(n, kEmpty);
-    const std::size_t mask = n - 1;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      std::size_t slot = orec_hash(entries_[i]) & mask;
-      while (index_[slot] != kEmpty) slot = (slot + 1) & mask;
-      index_[slot] = static_cast<std::int32_t>(i);
-    }
-  }
-
   std::vector<const Orec*> entries_;
-  std::vector<std::int32_t> index_;
-  std::uint64_t filter_ = 0;
-  bool dedup_ = kValidationFiltersDefault;
   unsigned low_use_clears_ = 0;
 };
 

@@ -33,49 +33,6 @@ void NOrecEngine::begin(TxThread& tx) {
   deadline_poll(tx);
 }
 
-bool NOrecEngine::commits_disjoint(std::uint64_t since, std::uint64_t upto,
-                                   const SigFilter& reads) const noexcept {
-  // More commits than ring slots slipped in: some signatures are already
-  // overwritten, so nothing can be proven — fall back.
-  if (((upto - since) >> 1) > kSigRingSlots) return false;
-  for (std::uint64_t s = since + 2; s <= upto; s += 2) {
-    const SigSlot& slot = ring_[(s >> 1) & (kSigRingSlots - 1)];
-    // Seqlock-style read: the payload is only trusted when the stamp reads
-    // `s` both before and after — a concurrent committer re-using the slot
-    // zeroes the stamp first, so a half-updated signature cannot pass.
-    if (slot.seq.load(std::memory_order_acquire) != s) return false;
-    SigFilter::Words words;
-    for (std::size_t i = 0; i < SigFilter::kWords; ++i) {
-      words[i] = slot.sig[i].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != s) return false;
-    // Overlap with the read set: that commit may have written something we
-    // read, so value validation must run. The fault switch models a buggy
-    // filter that treats overlap as disjoint — the opacity oracle must
-    // catch it (see test_schedules.cpp).
-    if (!VOTM_FAULT(kNorecSkipFilterFallback) &&
-        SigFilter::from_words(words).intersects(reads)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void NOrecEngine::publish_signature(std::uint64_t commit_seq,
-                                    const SigFilter& sig) noexcept {
-  SigSlot& slot = ring_[(commit_seq >> 1) & (kSigRingSlots - 1)];
-  // Invalidate, publish payload, re-stamp (seqlock write protocol). The
-  // global sequence lock is held odd here, so slot writers never race each
-  // other; the fences order the update against concurrent ring readers.
-  slot.seq.store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::size_t i = 0; i < SigFilter::kWords; ++i) {
-    slot.sig[i].store(sig.words()[i], std::memory_order_relaxed);
-  }
-  slot.seq.store(commit_seq, std::memory_order_release);
-}
-
 std::uint64_t NOrecEngine::validate(TxThread& tx) {
   VOTM_SCHED_POINT(kStmValidate);
   deadline_poll(tx);
@@ -90,16 +47,6 @@ std::uint64_t NOrecEngine::validate(TxThread& tx) {
       continue;
     }
     if (time == tx.snapshot) return time;  // nothing committed since
-    if (filters_) {
-      // Filter fast path: if every commit in (snapshot, time] has a write
-      // signature disjoint from our read signature, none of them wrote
-      // anything we read — the value scan would trivially pass.
-      VOTM_SCHED_POINT(kStmValidateFilter);
-      if (commits_disjoint(tx.snapshot, time, tx.vlog.filter())) {
-        if (seq.load(std::memory_order_acquire) == time) return time;
-        continue;
-      }
-    }
     if (!VOTM_FAULT(kNorecSkipValidation) && !tx.vlog.values_match()) {
       tx.conflict(ConflictKind::kValidationFail);
     }
@@ -122,8 +69,7 @@ Word NOrecEngine::read(TxThread& tx, const Word* addr) {
   // into a torn snapshot.
   VOTM_SCHED_POINT(kStmReadRetry);
   // If anyone committed since our snapshot, the read may be inconsistent
-  // with the log: re-validate (value-based or filter-skipped) and re-read
-  // until stable.
+  // with the log: re-validate by value and re-read until stable.
   while (seqlock_.value.load(std::memory_order_acquire) != tx.snapshot) {
     tx.snapshot = validate(tx);
     value = load_word(addr);
@@ -189,9 +135,6 @@ void NOrecEngine::commit(TxThread& tx) {
     expected = tx.snapshot = validate(tx);
   }
   tx.snapshot = expected;
-  // Broadcast our write signature for the sequence value this commit will
-  // publish, so readers validating against it can skip their value scans.
-  if (filters_) publish_signature(tx.snapshot + 2, tx.wset.filter());
   for (const WriteSet::Entry& e : tx.wset.entries()) {
     VOTM_SCHED_POINT(kStmCommitWriteback);
     store_word(e.addr, e.value);

@@ -2,8 +2,7 @@
 // config semantics, factory sanitization, the default table's packed
 // footprint, stripe spread and lazy residency, the packed-word lock
 // round-trip, the direct map's index_for shape and its aliasing period,
-// stripe-map agreement between the table and the read-log dedup, and
-// votm-check walks over the granularity knob.
+// and votm-check walks over the granularity knob.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -19,7 +18,6 @@
 #include "eigenbench/params.hpp"
 #include "stm/engine.hpp"
 #include "stm/factory.hpp"
-#include "stm/logs.hpp"
 #include "stm/orec_eager_redo.hpp"
 #include "stm/orec_table.hpp"
 
@@ -353,43 +351,6 @@ TEST(OrecIndexing, AliasingHistogramsMatchGranularity) {
   }
 }
 
-TEST(StripeMapConsistency, DedupAgreesWithTheTableAtEveryKnob) {
-  // The read-log dedup keys on Orec POINTERS, so it collapses exactly the
-  // reads the table maps to one stripe — at every granularity. A mismatch
-  // would make validation scan length diverge from the conflict map.
-  alignas(64) static std::byte arena[1 << 12];
-  for (unsigned shift : {3u, 6u}) {
-    OrecTable table(make_config(256, shift));
-    stm::OrecReadLog rlog;
-    rlog.set_dedup(true);
-    std::set<std::size_t> stripes;
-    for (std::size_t off = 0; off < (1u << 12); off += 8) {
-      stripes.insert(table.index_for(&arena[off]));
-      rlog.push(&table.for_address(&arena[off]));
-    }
-    EXPECT_EQ(rlog.size(), stripes.size()) << "g" << shift;
-    rlog.clear();
-  }
-}
-
-TEST(StripeMapConsistency, PackedNeighborsStayDistinctInTheDedupHash) {
-  // Regression for the old `>> 6` orec_hash: at the packed 8 B stride it
-  // hashed all eight line-mates identically, degenerating the dedup's
-  // signature filter and probe chain. Consecutive packed orecs must log
-  // as distinct entries.
-  OrecTable packed(make_config(64, 3));
-  stm::OrecReadLog rlog;
-  rlog.set_dedup(true);
-  std::set<std::size_t> hashes;
-  for (std::size_t i = 0; i < 8; ++i) {
-    hashes.insert(stm::OrecReadLog::orec_hash(&packed.at(i)));
-    rlog.push(&packed.at(i));
-  }
-  EXPECT_EQ(hashes.size(), 8u);
-  EXPECT_EQ(rlog.size(), 8u);
-  rlog.clear();
-}
-
 // Real-thread smoke over the knob matrix: exact counters under concurrent
 // increments, including the stripe-sharing configurations where every
 // conflict is a false one the engine must still resolve correctly.
@@ -450,7 +411,7 @@ TEST(GranularityWalks, OpacityHoldsAcrossKnobMatrix) {
       StmRandomConfig cfg;
       cfg.algo = algo;
       cfg.orec_granularity_shift = shift;
-      cfg.reread_pct = 30;  // drive the dedup under stripe sharing too
+      cfg.reread_pct = 30;  // re-reads under stripe sharing too
       StmRandomScenario scenario(cfg);
       const auto report = explore_random(scenario, 15, 0x6A51);
       EXPECT_TRUE(report.clean()) << report.repro;

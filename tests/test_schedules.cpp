@@ -21,7 +21,6 @@
 #include "check/explore.hpp"
 #include "check/fault.hpp"
 #include "check/scenarios.hpp"
-#include "stm/signature.hpp"
 
 namespace votm::check {
 namespace {
@@ -87,10 +86,10 @@ TEST(RandomWalks, SnapshotConsistencyHoldsAcrossEngines) {
 }
 
 TEST(RandomWalks, DuplicateReadsExerciseDedupPaths) {
-  // Heavy re-reads over two variables: the orec engines route repeated
-  // reads of one stripe through OrecReadLog's dedup probe, NOrec through
-  // ValueReadLog's adjacent-duplicate collapse — with writers interleaved
-  // so validation runs against the deduped logs.
+  // Heavy re-reads over two variables: back-to-back repeats take the
+  // adjacent-duplicate collapse of OrecReadLog (orec engines) and
+  // ValueReadLog (NOrec), other repeats are logged again — with writers
+  // interleaved so validation runs against both kinds of log.
   for (stm::Algo algo : kAllAlgos) {
     StmRandomConfig cfg;
     cfg.algo = algo;
@@ -165,35 +164,6 @@ TEST(FaultInjection, NorecValidationSkipIsCaughtAndReplayable) {
     ASSERT_FALSE(replay.clean()) << "replay " << i << " lost the violation";
     EXPECT_EQ(replay.violation->what, report.violation->what);
   }
-}
-
-// Mutation check for the signature-filter fast path: a filter that treats
-// a read/write signature overlap as disjoint skips the values_match()
-// fallback it must trigger, and a reader validates a torn snapshot as
-// clean. The snapshot scenario's writers write every variable the reader
-// reads, so the overlap (and thus the mutated branch) is hit on every
-// filtered validation.
-TEST(FaultInjection, NorecFilterFallbackSkipIsCaughtAndReplayable) {
-  if (!stm::kValidationFiltersDefault) {
-    GTEST_SKIP() << "filters compiled off (-DVOTM_VALIDATION_FILTERS=OFF)";
-  }
-  StmSnapshotConfig cfg;
-  cfg.algo = stm::Algo::kNOrec;
-  StmSnapshotScenario scenario(cfg);
-
-  // Sanity: the unfaulted filter path is clean on the same campaign.
-  const auto clean = explore_random(scenario, 100, 0xF117);
-  ASSERT_TRUE(clean.clean()) << clean.repro;
-
-  FaultGuard fault(FaultSite::kNorecSkipFilterFallback);
-  const auto report = explore_random(scenario, 2000, 0xF117);
-  ASSERT_FALSE(report.clean())
-      << "filter-fallback-skip mutant survived " << report.runs
-      << " schedules";
-  EXPECT_FALSE(report.schedule.empty());
-  const auto replay = replay_schedule(scenario, report.schedule);
-  ASSERT_FALSE(replay.clean()) << "replay lost the violation";
-  EXPECT_EQ(replay.violation->what, report.violation->what);
 }
 
 TEST(FaultInjection, ExhaustiveFindsNorecValidationSkip) {
@@ -349,6 +319,38 @@ TEST(ViewStats, CleanRunAllEngines) {
     const auto report = explore_random(scenario, 20, 0x7157A75);
     EXPECT_TRUE(report.clean()) << report.repro;
   }
+}
+
+// Lock mode takes no lock of its own (DESIGN.md §11): a quota walk through
+// 1 and back keeps every lock-mode body alone in the view, on every
+// speculative engine, and the campaigns do run bodies in lock mode.
+TEST(LockMode, QuotaWalkKeepsLockModeBodiesAlone) {
+  for (stm::Algo algo : kAllAlgos) {
+    LockModeConfig cfg;
+    cfg.algo = algo;
+    LockModeScenario scenario(cfg);
+    const auto report = explore_random(scenario, 60, 0x10C4);
+    EXPECT_TRUE(report.clean()) << report.repro;
+    EXPECT_GT(scenario.lock_mode_bodies(), 0u) << scenario.name();
+  }
+}
+
+// Mutation check for the mode pick: a thread admitted at Q > 1 that reads
+// the quota again after a set_quota(1) runs its body in lock mode beside
+// speculative peers. The oracles must catch it, and the schedule must
+// replay.
+TEST(FaultInjection, LockModeStaleQuotaIsCaughtAndReplayable) {
+  LockModeScenario scenario(LockModeConfig{});
+  FaultGuard fault(FaultSite::kLockModeStaleQuota);
+  const auto report = explore_random(scenario, 500, 0x57A1E);
+  ASSERT_FALSE(report.clean())
+      << scenario.name() << ": mutant survived " << report.runs
+      << " schedules";
+  EXPECT_GT(FaultInjector::instance().triggers(FaultSite::kLockModeStaleQuota),
+            0u);
+  const auto replay = replay_schedule(scenario, report.schedule);
+  ASSERT_FALSE(replay.clean()) << "replay lost the violation";
+  EXPECT_EQ(replay.violation->what, report.violation->what);
 }
 
 // The progress guarantee under the adversarial schedule: the victim loses

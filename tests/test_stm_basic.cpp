@@ -207,8 +207,7 @@ TEST_P(StmBasic, ReadForWriteInSerialModeIsAPlainLoad) {
   const std::size_t reads = tx_.rlog.size() + tx_.vlog.size();
   engine_->write(tx_, &cell, seen * 2);
   engine_->end_serial(tx_);
-  tx_.in_tx = false;
-  tx_.engine = nullptr;
+  end_common(tx_);
   EXPECT_EQ(seen, 3u);
   EXPECT_EQ(locks, 0u);
   EXPECT_EQ(reads, 0u);

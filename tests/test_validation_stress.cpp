@@ -1,8 +1,9 @@
-// Concurrency stress for the validation fast paths added with the
-// signature-filter work: NOrec's commit write-signature ring (publish /
-// read races under real threads, intended for -DVOTM_SANITIZE=thread via
-// the check-tsan preset) and the orec engines' deduped read logs under
-// stripe aliasing. Labeled `stress` in tests/CMakeLists.txt.
+// Concurrency stress for read-set validation under real threads, intended
+// for -DVOTM_SANITIZE=thread via the check-tsan preset: NOrec's value-based
+// validation against disjoint writers, hot counters and bursts of tiny
+// commits, and the orec engines' read logs under stripe aliasing. The
+// oracles are exact counters and pairs the writers keep equal. Labeled
+// `stress` in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,12 +33,12 @@ void run_threads(unsigned threads, Body&& body) {
   for (auto& th : pool) th.join();
 }
 
-// Readers take large read-only snapshots while disjoint writers commit and
-// publish signatures; the filter path should skip most value validations,
-// and under TSan every ring access is checked for races. The oracle is
-// snapshot consistency: every pair the writers keep equal must read equal.
-TEST(ValidationFilterStress, NorecReadersSkipDisjointCommits) {
-  NOrecEngine engine(/*commit_filters=*/true);
+// Readers take large read-only snapshots while disjoint writers commit, so
+// every reader revalidates its whole value log on each interleaved commit.
+// The oracle is snapshot consistency: every word the readers read holds
+// the same value.
+TEST(ValidationStress, NorecReadersSeeConsistentSnapshots) {
+  NOrecEngine engine;
   constexpr unsigned kReaders = 6;
   constexpr unsigned kWriters = 2;
   constexpr int kSnapshotWords = 64;
@@ -52,9 +53,8 @@ TEST(ValidationFilterStress, NorecReadersSkipDisjointCommits) {
     pool.emplace_back([&, w] {
       TxThread tx;
       barrier.arrive_and_wait();
-      // Writers touch only their own stripe of `privates`, so reader
-      // signatures and writer signatures are (modulo Bloom collisions)
-      // disjoint — the readers' fast path actually runs.
+      // Writers touch only their own stripe of `privates`: their commits
+      // force the readers' revalidation without changing what they read.
       for (Word v = 1; v <= 3000; ++v) {
         atomically(engine, tx, [&](TxThread& t) {
           for (int i = 0; i < 4; ++i) {
@@ -87,11 +87,11 @@ TEST(ValidationFilterStress, NorecReadersSkipDisjointCommits) {
   EXPECT_EQ(torn.load(), 0u);
 }
 
-// Forces the overlap/fallback path: every transaction reads AND writes the
-// same hot counters, so commit signatures always intersect reader
-// signatures and values_match() must run. The oracle is exactness.
-TEST(ValidationFilterStress, NorecFallbackKeepsCountersExact) {
-  NOrecEngine engine(/*commit_filters=*/true);
+// Every transaction reads AND writes the same hot counters, so each
+// interleaved commit changes a value a reader logged. The oracle is
+// exactness.
+TEST(ValidationStress, NorecCountersStayExact) {
+  NOrecEngine engine;
   constexpr unsigned kThreads = 8;
   constexpr int kIncrements = 1500;
   Word a = 0, b = 0;
@@ -107,11 +107,11 @@ TEST(ValidationFilterStress, NorecFallbackKeepsCountersExact) {
   EXPECT_EQ(b, static_cast<Word>(kThreads) * kIncrements);
 }
 
-// Signature-ring wrap: a burst of tiny commits overruns the 64-slot ring
-// between a reader's snapshot and its validation, forcing the conservative
-// full-validation fallback. Snapshot consistency must survive the wrap.
-TEST(ValidationFilterStress, NorecRingWrapFallsBackSafely) {
-  NOrecEngine engine(/*commit_filters=*/true);
+// Bursts of tiny commits land between a reader's snapshot and its
+// validation, with the x == y pair bumped every 16th commit. Snapshot
+// consistency must survive every burst.
+TEST(ValidationStress, NorecCommitBurstsKeepPairsEqual) {
+  NOrecEngine engine;
   constexpr unsigned kWriters = 4;
   Word x = 0, y = 0;
   std::vector<Word> noise(kWriters, 0);
@@ -126,7 +126,7 @@ TEST(ValidationFilterStress, NorecRingWrapFallsBackSafely) {
       barrier.arrive_and_wait();
       for (Word v = 1; v <= 4000; ++v) {
         // Every ~16th transaction bumps the x==y pair; the rest are tiny
-        // commits that spin the sequence lock past the ring capacity.
+        // commits that move the sequence lock.
         atomically(engine, tx, [&](TxThread& t) {
           if (v % 16 == 0) {
             const Word nx = engine.read(t, &x) + 1;
@@ -156,11 +156,11 @@ TEST(ValidationFilterStress, NorecRingWrapFallsBackSafely) {
   EXPECT_EQ(torn.load(), 0u);
 }
 
-// Orec read-log dedup under heavy stripe aliasing: a tiny orec table makes
-// many addresses share stripes, and each transaction re-reads its working
-// set several times. Exact counters prove validation over the deduped log
-// is still sound.
-TEST(ValidationFilterStress, OrecDedupExactUnderAliasing) {
+// Orec read logs under heavy stripe aliasing: a tiny orec table makes many
+// addresses share stripes, and each transaction re-reads its working set
+// several times, logging each stripe again. Exact counters prove
+// validation over the log is sound.
+TEST(ValidationStress, OrecCountersExactUnderAliasing) {
   OrecEagerRedoEngine engine(/*orec_table_size=*/16);
   constexpr unsigned kThreads = 8;
   constexpr int kIncrements = 1000;
@@ -172,7 +172,7 @@ TEST(ValidationFilterStress, OrecDedupExactUnderAliasing) {
       const auto cell = static_cast<std::size_t>(rng.below(kCells));
       atomically(engine, tx, [&](TxThread& t) {
         // Redundant scans of the whole array: every orec is hit many
-        // times per transaction, so the dedup probe is the common case.
+        // times per transaction.
         Word sum = 0;
         for (int pass = 0; pass < 3; ++pass) {
           for (int c = 0; c < kCells; ++c) {

@@ -85,20 +85,40 @@ TEST_P(ViewTest, UserExceptionRollsBackAndPropagates) {
 }
 
 TEST_P(ViewTest, SubWordAccessors) {
-  View view(basic_config(GetParam()));
-  auto* bytes = static_cast<std::uint8_t*>(view.alloc(64));
-  view.execute([&] {
-    for (int i = 0; i < 16; ++i) {
-      vwrite<std::uint8_t>(&bytes[i], static_cast<std::uint8_t>(i * 3));
+  // Adaptive RAC starts at Q = N, where the view's engine runs the
+  // accesses; at a fixed Q = 1 lock mode runs them as plain loads and
+  // stores. Both must give the same answers, read-for-write included.
+  for (const bool lock_mode : {false, true}) {
+    ViewConfig vc = basic_config(GetParam());
+    if (lock_mode) {
+      vc.rac = RacMode::kFixed;
+      vc.fixed_quota = 1;
     }
-    vwrite<std::uint32_t>(reinterpret_cast<std::uint32_t*>(bytes + 32), 0xdeadbeef);
-  });
-  view.execute_read([&] {
-    for (int i = 0; i < 16; ++i) {
-      EXPECT_EQ(vread(&bytes[i]), static_cast<std::uint8_t>(i * 3));
-    }
-    EXPECT_EQ(vread(reinterpret_cast<std::uint32_t*>(bytes + 32)), 0xdeadbeefu);
-  });
+    View view(vc);
+    auto* bytes = static_cast<std::uint8_t*>(view.alloc(64));
+    view.execute([&] {
+      for (int i = 0; i < 16; ++i) {
+        vwrite<std::uint8_t>(&bytes[i], static_cast<std::uint8_t>(i * 3));
+      }
+      vwrite<std::uint32_t>(reinterpret_cast<std::uint32_t*>(bytes + 32), 0xdeadbeef);
+    });
+    view.execute_read([&] {
+      for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(vread(&bytes[i]), static_cast<std::uint8_t>(i * 3));
+      }
+      EXPECT_EQ(vread(reinterpret_cast<std::uint32_t*>(bytes + 32)), 0xdeadbeefu);
+    });
+
+    auto* word = reinterpret_cast<stm::Word*>(bytes + 40);
+    view.execute([&] { vwrite<stm::Word>(word, 5); });
+    view.execute([&] {
+      vwrite<stm::Word>(word, vread_for_write(word) * 3);
+      vwrite<std::uint8_t>(&bytes[2], vread_for_write(&bytes[2]) + 1);
+    });
+    EXPECT_EQ(vread(word), 15u) << "lock mode: " << lock_mode;
+    EXPECT_EQ(vread(&bytes[2]), 7u) << "lock mode: " << lock_mode;
+    EXPECT_EQ(vread(&bytes[3]), 9u) << "lock mode: " << lock_mode;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, ViewTest,
@@ -142,23 +162,32 @@ TEST(ViewExceptions, ExceptionAbortIsAccountedInStats) {
 }
 
 TEST(ViewExceptions, MisuseLeavesAdmissionExactlyOnce) {
-  ViewConfig vc = basic_config(stm::Algo::kNOrec, 2);
-  vc.rac = RacMode::kFixed;
-  vc.fixed_quota = 2;
-  View view(vc);
-  auto* cell = static_cast<stm::Word*>(view.alloc(sizeof(stm::Word)));
+  // Q = 2 runs NOrec; Q = 1 runs lock mode, whose plain barriers must
+  // still route a read-only transaction's writes to the misuse check.
+  for (const unsigned quota : {2u, 1u}) {
+    ViewConfig vc = basic_config(stm::Algo::kNOrec, 2);
+    vc.rac = RacMode::kFixed;
+    vc.fixed_quota = quota;
+    View view(vc);
+    auto* cell = static_cast<stm::Word*>(view.alloc(sizeof(stm::Word)));
 
-  // A write inside a read-only transaction is a misuse: the engine-side
-  // handler leaves the admission controller before the logic_error reaches
-  // the exception path, which must then NOT leave a second time (a double
-  // leave underflows P and wedges every later admission).
-  EXPECT_THROW(view.execute_read([&] { vwrite<stm::Word>(cell, 1); }),
-               std::logic_error);
-  ASSERT_EQ(view.admission().admitted(), 0u);
+    // A write inside a read-only transaction is a misuse: the engine-side
+    // handler leaves the admission controller before the logic_error
+    // reaches the exception path, which must then NOT leave a second time
+    // (a double leave underflows P and wedges every later admission).
+    EXPECT_THROW(view.execute_read([&] { vwrite<stm::Word>(cell, 1); }),
+                 std::logic_error)
+        << "Q = " << quota;
+    ASSERT_EQ(view.admission().admitted(), 0u) << "Q = " << quota;
+    EXPECT_THROW(view.execute_read([&] { (void)vread_for_write(cell); }),
+                 std::logic_error)
+        << "Q = " << quota;
+    ASSERT_EQ(view.admission().admitted(), 0u) << "Q = " << quota;
 
-  view.execute([&] { vwrite<stm::Word>(cell, 5); });
-  EXPECT_EQ(vread(cell), 5u);
-  EXPECT_EQ(view.admission().admitted(), 0u);
+    view.execute([&] { vwrite<stm::Word>(cell, 5); });
+    EXPECT_EQ(vread(cell), 5u);
+    EXPECT_EQ(view.admission().admitted(), 0u);
+  }
 }
 
 // ---------------- staged-API misuse ----------------------------------------
