@@ -8,9 +8,9 @@
 // of that site fire. Two fault classes share the machinery:
 //
 //   * mutation faults (kNorecSkipValidation, kSerialTokenDrop,
-//     kRfwSkipRevalidation, kLockModeStaleQuota): deliberately break a
-//     correctness argument; a campaign proves the oracles CATCH the bug
-//     class, with a replayable schedule;
+//     kRfwSkipRevalidation, kLockModeStaleQuota, kExtendIgnoresReadLog):
+//     deliberately break a correctness argument; a campaign proves the
+//     oracles CATCH the bug class, with a replayable schedule;
 //   * availability faults (the commit-tail and admission-CAS sites): force
 //     legal-but-unlucky outcomes (spurious conflicts, lost CAS races, a
 //     skipped notify); a campaign proves the system stays correct AND
@@ -98,6 +98,12 @@ enum class FaultSite : unsigned {
                               // run uninstrumented beside speculative
                               // peers once the quota drops to 1 — the
                               // LockModeScenario oracles must catch it
+  // --- orec timestamp extension (mutation, DESIGN.md §5.3) -----------------
+  kExtendIgnoresReadLog,      // the orec engines' GV1 extend() adopts the
+                              // version that forced it even when the read
+                              // log is not empty, so reads logged before
+                              // it are never validated: a torn snapshot —
+                              // the opacity oracle must catch it
   kCount,
 };
 
@@ -121,6 +127,8 @@ inline const char* to_string(FaultSite s) noexcept {
     case FaultSite::kLimboWatermark: return "limbo.watermark";
     case FaultSite::kRfwSkipRevalidation: return "rfw.skip-revalidation";
     case FaultSite::kLockModeStaleQuota: return "view.lock-mode-stale-quota";
+    case FaultSite::kExtendIgnoresReadLog:
+      return "orec.extend-ignores-read-log";
     case FaultSite::kCount: break;
   }
   return "?";

@@ -3,17 +3,18 @@
 // A single-word counter makes every increment conflict with every other —
 // exactly the pathological case RAC exists for. When the aggregate value is
 // only needed occasionally, sharding by thread removes the conflicts while
-// staying fully transactional: add() touches one shard (conflict-free for
-// distinct threads), value() reads all shards in one transaction and is a
-// consistent snapshot.
+// staying fully transactional: add() touches one shard, value() reads all
+// shards in one transaction and is a consistent snapshot. Shards are keyed
+// by the dense thread ordinal (util/thread_ordinal.hpp), so up to the shard
+// count, threads that took consecutive ordinals get distinct shards and
+// their adds never conflict.
 #pragma once
-
-#include <thread>
 
 #include "containers/read_tx.hpp"
 #include "core/access.hpp"
 #include "core/view.hpp"
 #include "util/cacheline.hpp"
+#include "util/thread_ordinal.hpp"
 
 namespace votm::containers {
 
@@ -51,16 +52,16 @@ class TxCounter {
 
   std::size_t shards() const noexcept { return shard_count_; }
 
+  // The shard the calling thread's add() touches.
+  std::size_t shard_index() const noexcept {
+    return thread_ordinal() & (shard_count_ - 1);
+  }
+
  private:
   static std::size_t round_pow2(std::size_t n) {
     std::size_t p = 1;
     while (p < n) p <<= 1;
     return p;
-  }
-
-  std::size_t shard_index() const noexcept {
-    return std::hash<std::thread::id>{}(std::this_thread::get_id()) &
-           (shard_count_ - 1);
   }
 
   core::View* view_;

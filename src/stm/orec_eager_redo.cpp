@@ -4,6 +4,7 @@
 #include "check/sched_point.hpp"
 #include "stm/access.hpp"
 #include "stm/contention.hpp"
+#include "stm/orec_snapshot.hpp"
 
 namespace votm::stm {
 
@@ -16,37 +17,6 @@ void OrecEagerRedoEngine::begin(TxThread& tx) {
   cm_on_begin(tx, cm_, tx.start_time);
   // After begin_common: conflict() needs tx.engine set to roll back.
   deadline_poll(tx);
-}
-
-bool OrecEagerRedoEngine::read_log_valid(TxThread& tx,
-                                         std::uint64_t bound) const noexcept {
-  for (const Orec* o : tx.rlog.entries()) {
-    const Orec::Packed p = o->load();
-    if (Orec::is_locked(p)) {
-      if (Orec::owner_of(p) != &tx) return false;
-    } else if (Orec::version_of(p) > bound) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void OrecEagerRedoEngine::extend(TxThread& tx, std::uint64_t observed) {
-  VOTM_SCHED_POINT(kStmValidate);
-  deadline_poll(tx);
-  // A higher-priority loser may be parked on one of our encounter locks;
-  // honor its yield demand here, where conflict() is still clean.
-  cm_owner_poll(tx, cm_);
-  // TinySTM-style timestamp extension: if nothing we read changed since
-  // start_time, the snapshot can be moved forward to `now`; otherwise the
-  // transaction is doomed. `now` covers `observed`, so the caller's retry
-  // loop terminates even when the version that forced the extension runs
-  // ahead of the global clock (GV5).
-  const std::uint64_t now = clock_.extension_bound(observed);
-  if (!read_log_valid(tx, tx.start_time)) {
-    tx.conflict(ConflictKind::kValidationFail);
-  }
-  tx.start_time = now;
 }
 
 Word OrecEagerRedoEngine::read(TxThread& tx, const Word* addr) {
@@ -75,7 +45,7 @@ Word OrecEagerRedoEngine::read(TxThread& tx, const Word* addr) {
       tx.conflict(ConflictKind::kReadLocked);
     }
     if (Orec::version_of(before) > tx.start_time) {
-      extend(tx, Orec::version_of(before));
+      extend(tx, clock_, cm_, Orec::version_of(before));
       continue;
     }
     const Word value = load_word(addr);
@@ -88,32 +58,6 @@ Word OrecEagerRedoEngine::read(TxThread& tx, const Word* addr) {
   }
 }
 
-void OrecEagerRedoEngine::acquire(TxThread& tx, Orec& o,
-                                  bool first_touch_wait) {
-  for (;;) {
-    const Orec::Packed p = o.load();
-    if (Orec::is_locked(p)) {
-      if (Orec::owner_of(p) == &tx) return;  // already ours
-      if (cm_resolve_foreign_lock(tx, o, p, cm_)) continue;
-      if (first_touch_wait && rfw_first_touch_wait(tx, o, p)) {
-        // Mutation: trust the wait and read the word without the lock.
-        if (VOTM_FAULT(kRfwSkipRevalidation)) return;
-        continue;
-      }
-      tx.conflict(ConflictKind::kWriteLocked);
-    }
-    if (Orec::version_of(p) > tx.start_time) {
-      extend(tx, Orec::version_of(p));
-      continue;
-    }
-    if (o.try_lock(p, &tx)) {
-      tx.wlocks.push_back(OwnedOrec{&o, Orec::version_of(p)});
-      return;
-    }
-    // Lost the CAS race; re-examine the orec.
-  }
-}
-
 Word OrecEagerRedoEngine::read_for_write(TxThread& tx, Word* addr) {
   VOTM_SCHED_POINT(kStmWrite);
   if (tx.read_only) {
@@ -121,7 +65,8 @@ Word OrecEagerRedoEngine::read_for_write(TxThread& tx, Word* addr) {
   }
   if (tx.serial) return load_word(addr);
   if (const Word* buffered = tx.wset.lookup(addr)) return *buffered;
-  acquire(tx, orecs_.for_address(addr), /*first_touch_wait=*/true);
+  acquire(tx, orecs_.for_address(addr), clock_, cm_,
+          /*first_touch_wait=*/true);
   // The orec is ours and the redo log has no entry for this word, so
   // memory holds its committed value, and nobody can change it until we
   // commit. No read is logged: the lock is the validation.
@@ -137,7 +82,8 @@ void OrecEagerRedoEngine::write(TxThread& tx, Word* addr, Word value) {
     store_word(addr, value);
     return;
   }
-  acquire(tx, orecs_.for_address(addr), /*first_touch_wait=*/false);
+  acquire(tx, orecs_.for_address(addr), clock_, cm_,
+          /*first_touch_wait=*/false);
   tx.wset.insert(addr, value);
 }
 

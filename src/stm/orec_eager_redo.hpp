@@ -8,7 +8,8 @@
 // — the aggressive policy under which the paper observes livelock at high
 // contention (Tables III and V, Q >= 16). The one exception is a
 // read-for-write that is the transaction's first touch: it waits, bounded,
-// for the lock to drop (rfw_first_touch_wait, DESIGN.md §22).
+// for the lock to drop (rfw_first_touch_wait, DESIGN.md §22). Validation,
+// extension and acquisition are the shared rules of stm/orec_snapshot.hpp.
 #pragma once
 
 #include "stm/clock.hpp"
@@ -46,23 +47,6 @@ class OrecEagerRedoEngine final : public TxEngine {
   OrecTable& orec_table() noexcept { return orecs_; }
 
  private:
-  // Validates the orec read log; returns false if any orec is foreign-locked
-  // or has advanced past `bound`.
-  bool read_log_valid(TxThread& tx, std::uint64_t bound) const noexcept;
-
-  // Timestamp extension (TinySTM-style): re-validate and move start_time
-  // forward; aborts via tx.conflict() when validation fails. `observed` is
-  // the orec version that forced the extension (may exceed the global
-  // clock under GV5; see VersionClock::extension_bound).
-  void extend(TxThread& tx, std::uint64_t observed);
-
-  // Encounter-time acquisition shared by write() and read_for_write():
-  // returns once `o` is locked by tx (already or newly), extending the
-  // snapshot past a newer version; a foreign lock aborts with
-  // kWriteLocked unless the CM or, with `first_touch_wait`, the
-  // read-for-write first-touch wait outlasts it.
-  void acquire(TxThread& tx, Orec& o, bool first_touch_wait);
-
   VersionClock clock_;
   OrecTable orecs_;
   // Contention management (stm/contention.hpp): wait/abort mode, spin

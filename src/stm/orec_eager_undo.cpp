@@ -4,6 +4,7 @@
 #include "check/sched_point.hpp"
 #include "stm/access.hpp"
 #include "stm/contention.hpp"
+#include "stm/orec_snapshot.hpp"
 
 namespace votm::stm {
 
@@ -20,32 +21,6 @@ void OrecEagerUndoEngine::begin(TxThread& tx) {
   cm_on_begin(tx, cm_, tx.start_time);
   // After begin_common: conflict() needs tx.engine set to roll back.
   deadline_poll(tx);
-}
-
-bool OrecEagerUndoEngine::read_log_valid(TxThread& tx,
-                                         std::uint64_t bound) const noexcept {
-  for (const Orec* o : tx.rlog.entries()) {
-    const Orec::Packed p = o->load();
-    if (Orec::is_locked(p)) {
-      if (Orec::owner_of(p) != &tx) return false;
-    } else if (Orec::version_of(p) > bound) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void OrecEagerUndoEngine::extend(TxThread& tx, std::uint64_t observed) {
-  VOTM_SCHED_POINT(kStmValidate);
-  deadline_poll(tx);
-  // Honor a higher-priority loser's yield demand while conflict() is
-  // still clean (DESIGN.md §20).
-  cm_owner_poll(tx, cm_);
-  const std::uint64_t now = clock_.extension_bound(observed);
-  if (!read_log_valid(tx, tx.start_time)) {
-    tx.conflict(ConflictKind::kValidationFail);
-  }
-  tx.start_time = now;
 }
 
 Word OrecEagerUndoEngine::read(TxThread& tx, const Word* addr) {
@@ -68,7 +43,7 @@ Word OrecEagerUndoEngine::read(TxThread& tx, const Word* addr) {
       tx.conflict(ConflictKind::kReadLocked);
     }
     if (Orec::version_of(before) > tx.start_time) {
-      extend(tx, Orec::version_of(before));
+      extend(tx, clock_, cm_, Orec::version_of(before));
       continue;
     }
     const Word value = load_word(addr);
@@ -80,38 +55,14 @@ Word OrecEagerUndoEngine::read(TxThread& tx, const Word* addr) {
   }
 }
 
-void OrecEagerUndoEngine::acquire(TxThread& tx, Orec& o,
-                                  bool first_touch_wait) {
-  for (;;) {
-    const Orec::Packed p = o.load();
-    if (Orec::is_locked(p)) {
-      if (Orec::owner_of(p) == &tx) return;
-      if (cm_resolve_foreign_lock(tx, o, p, cm_)) continue;
-      if (first_touch_wait && rfw_first_touch_wait(tx, o, p)) {
-        // Mutation: trust the wait and read the word without the lock.
-        if (VOTM_FAULT(kRfwSkipRevalidation)) return;
-        continue;
-      }
-      tx.conflict(ConflictKind::kWriteLocked);
-    }
-    if (Orec::version_of(p) > tx.start_time) {
-      extend(tx, Orec::version_of(p));
-      continue;
-    }
-    if (o.try_lock(p, &tx)) {
-      tx.wlocks.push_back(OwnedOrec{&o, Orec::version_of(p)});
-      return;
-    }
-  }
-}
-
 Word OrecEagerUndoEngine::read_for_write(TxThread& tx, Word* addr) {
   VOTM_SCHED_POINT(kStmWrite);
   if (tx.read_only) {
     tx.misuse("read_for_write inside a read-only transaction (acquire_Rview)");
   }
   if (tx.serial) return load_word(addr);
-  acquire(tx, orecs_.for_address(addr), /*first_touch_wait=*/true);
+  acquire(tx, orecs_.for_address(addr), clock_, cm_,
+          /*first_touch_wait=*/true);
   // The orec is ours: memory holds the committed value, or our own
   // write-through value. Nothing is undo-logged until write() changes it.
   return load_word(addr);
@@ -126,7 +77,8 @@ void OrecEagerUndoEngine::write(TxThread& tx, Word* addr, Word value) {
     store_word(addr, value);
     return;
   }
-  acquire(tx, orecs_.for_address(addr), /*first_touch_wait=*/false);
+  acquire(tx, orecs_.for_address(addr), clock_, cm_,
+          /*first_touch_wait=*/false);
   // Write-through: save the old value, then update memory in place (the
   // covering orec is locked by us across this point, so no reader can
   // observe the speculative store).

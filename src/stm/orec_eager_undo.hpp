@@ -14,6 +14,8 @@
 // speculative); readers of an unlocked orec validate by version with
 // timestamp extension, like the other orec engines. A read-for-write at
 // first touch waits, bounded, for the lock to drop instead (DESIGN.md §22).
+// Validation, extension and acquisition are the shared rules of
+// stm/orec_snapshot.hpp.
 #pragma once
 
 #include "stm/clock.hpp"
@@ -50,12 +52,6 @@ class OrecEagerUndoEngine final : public TxEngine {
   OrecTable& orec_table() noexcept { return orecs_; }
 
  private:
-  bool read_log_valid(TxThread& tx, std::uint64_t bound) const noexcept;
-  void extend(TxThread& tx, std::uint64_t observed);
-  // Encounter-time acquisition shared by write() and read_for_write();
-  // see OrecEagerRedoEngine::acquire.
-  void acquire(TxThread& tx, Orec& o, bool first_touch_wait);
-
   VersionClock clock_;
   OrecTable orecs_;
   // Contention management (stm/contention.hpp). Especially apt here: an

@@ -6,6 +6,7 @@
 #include "check/sched_point.hpp"
 #include "stm/access.hpp"
 #include "stm/contention.hpp"
+#include "stm/orec_snapshot.hpp"
 
 namespace votm::stm {
 
@@ -18,32 +19,6 @@ void OrecLazyEngine::begin(TxThread& tx) {
   cm_on_begin(tx, cm_, tx.start_time);
   // After begin_common: conflict() needs tx.engine set to roll back.
   deadline_poll(tx);
-}
-
-bool OrecLazyEngine::read_log_valid(TxThread& tx,
-                                    std::uint64_t bound) const noexcept {
-  for (const Orec* o : tx.rlog.entries()) {
-    const Orec::Packed p = o->load();
-    if (Orec::is_locked(p)) {
-      if (Orec::owner_of(p) != &tx) return false;
-    } else if (Orec::version_of(p) > bound) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void OrecLazyEngine::extend(TxThread& tx, std::uint64_t observed) {
-  VOTM_SCHED_POINT(kStmValidate);
-  deadline_poll(tx);
-  // Mid-acquisition extensions run with commit locks held; honor a
-  // higher-priority loser's yield demand while conflict() is clean.
-  cm_owner_poll(tx, cm_);
-  const std::uint64_t now = clock_.extension_bound(observed);
-  if (!read_log_valid(tx, tx.start_time)) {
-    tx.conflict(ConflictKind::kValidationFail);
-  }
-  tx.start_time = now;
 }
 
 Word OrecLazyEngine::read(TxThread& tx, const Word* addr) {
@@ -74,7 +49,7 @@ Word OrecLazyEngine::read(TxThread& tx, const Word* addr) {
       continue;
     }
     if (Orec::version_of(before) > tx.start_time) {
-      extend(tx, Orec::version_of(before));
+      extend(tx, clock_, cm_, Orec::version_of(before));
       continue;
     }
     const Word value = load_word(addr);
@@ -136,7 +111,7 @@ void OrecLazyEngine::commit(TxThread& tx) {
       }
       if (Orec::version_of(p) > tx.start_time) {
         // A commit since we started; the read set may still be valid.
-        extend(tx, Orec::version_of(p));
+        extend(tx, clock_, cm_, Orec::version_of(p));
         continue;
       }
       if (o.try_lock(p, &tx)) {

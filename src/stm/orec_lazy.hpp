@@ -5,7 +5,8 @@
 // Writes only buffer; ownership records are acquired at commit, so a
 // doomed transaction never blocks others mid-flight and write-write
 // conflicts surface only at commit time. Reads validate against the
-// per-instance version clock with timestamp extension, like OrecEagerRedo.
+// per-instance version clock with timestamp extension, like OrecEagerRedo
+// (the orec engines share stm/orec_snapshot.hpp's validation and extension).
 //
 // Included for the ablation between locking disciplines: the paper's
 // livelock argument (Sec. III-D) blames *encounter-time* locking; OrecLazy
@@ -44,9 +45,6 @@ class OrecLazyEngine final : public TxEngine {
   OrecTable& orec_table() noexcept { return orecs_; }
 
  private:
-  bool read_log_valid(TxThread& tx, std::uint64_t bound) const noexcept;
-  void extend(TxThread& tx, std::uint64_t observed);
-
   VersionClock clock_;
   OrecTable orecs_;
   // Contention management (stm/contention.hpp): here the only foreign-lock

@@ -119,6 +119,22 @@ TEST(TxCounterTest, ShardingReducesAbortsVersusSingleWord) {
   EXPECT_LE(sharded_aborts, hot_aborts);
 }
 
+TEST(TxCounterTest, ThreadsUpToTheShardCountGetDistinctShards) {
+  // Shards follow the dense thread ordinal, so threads that take their
+  // ordinals one after another land on distinct shards, up to the shard
+  // count. Each thread takes its ordinal before the next one starts.
+  core::View view(view_config());
+  TxCounter counter(view, 8);
+  for (const unsigned n : {2u, 6u, 8u}) {
+    std::vector<std::size_t> shard(n);
+    for (unsigned t = 0; t < n; ++t) {
+      std::thread([&] { shard[t] = counter.shard_index(); }).join();
+    }
+    const std::set<std::size_t> distinct(shard.begin(), shard.end());
+    EXPECT_EQ(distinct.size(), n) << n << " threads over 8 shards";
+  }
+}
+
 // ---------------- TxHashMap --------------------------------------------------
 
 TEST(TxHashMapTest, PutGetEraseSemantics) {

@@ -7,7 +7,9 @@
 //     fault fires;
 //   * mutation campaigns — the serial-token drop: the scenario oracles
 //     must CATCH the injected bug, with a deterministically replayable
-//     schedule.
+//     schedule. The engine and view mutations (kNorecSkipValidation,
+//     kRfwSkipRevalidation, kLockModeStaleQuota, kExtendIgnoresReadLog)
+//     run their campaigns in test_schedules' FaultInjection suite.
 // Every campaign is named by one 64-bit seed (arm_seeded derives the fault
 // window from it), so a failure line carries a complete reproducer.
 //
@@ -20,7 +22,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "check/explore.hpp"
@@ -70,6 +74,19 @@ TEST(FaultMatrix, SeededPlansAreDeterministic) {
                                      /*max_skip=*/1u << 20);
   inj.disarm_all();
   EXPECT_NE(c.skip, d.skip);
+}
+
+// Every site has its own name in the fault table, so a repro line names
+// exactly one site.
+TEST(FaultMatrix, EverySiteHasADistinctName) {
+  std::set<std::string> names;
+  for (unsigned i = 0; i < static_cast<unsigned>(FaultSite::kCount); ++i) {
+    const std::string name = to_string(static_cast<FaultSite>(i));
+    EXPECT_NE(name, "?") << "site " << i << " has no name";
+    EXPECT_TRUE(names.insert(name).second) << "duplicate site name " << name;
+  }
+  EXPECT_EQ(std::string(to_string(FaultSite::kExtendIgnoresReadLog)),
+            "orec.extend-ignores-read-log");
 }
 
 // Availability: a seeded conflict window in every abortable engine's commit

@@ -179,6 +179,41 @@ TEST(FaultInjection, ExhaustiveFindsNorecValidationSkip) {
   EXPECT_FALSE(report.schedule.empty());
 }
 
+// Mutation check of the orec engines' empty-log snapshot rule (DESIGN.md
+// §5.3): an extension that adopts the version it met while the read log
+// holds reads skips their validation, so a writer that commits between
+// the reader's two reads tears its snapshot. Each orec engine is clean on
+// the campaign without the fault and caught with it, and the reproducer
+// replays.
+TEST(FaultInjection, ExtendIgnoresReadLogIsCaughtAndReplayable) {
+  for (const stm::Algo algo : {stm::Algo::kOrecEagerRedo,
+                               stm::Algo::kOrecLazy,
+                               stm::Algo::kOrecEagerUndo}) {
+    StmSnapshotConfig cfg;
+    cfg.algo = algo;
+    StmSnapshotScenario scenario(cfg);
+
+    const auto clean = explore_random(scenario, 100, 0x5EED);
+    ASSERT_TRUE(clean.clean()) << clean.repro;
+
+    FaultGuard fault(FaultSite::kExtendIgnoresReadLog);
+    const auto report = explore_random(scenario, 2000, 0x5EED);
+    ASSERT_FALSE(report.clean())
+        << scenario.name() << ": mutant survived " << report.runs
+        << " schedules";
+    EXPECT_GT(
+        FaultInjector::instance().triggers(FaultSite::kExtendIgnoresReadLog),
+        0u);
+    EXPECT_NE(report.repro.find("votm-check repro:"), std::string::npos);
+    for (int i = 0; i < 3; ++i) {
+      const auto replay = replay_schedule(scenario, report.schedule);
+      ASSERT_FALSE(replay.clean())
+          << scenario.name() << ": replay " << i << " lost the violation";
+      EXPECT_EQ(replay.violation->what, report.violation->what);
+    }
+  }
+}
+
 // Read-for-write queue pops (DESIGN.md §22) on the two encounter-time
 // engines, the only ones whose RfW locks and waits. Every schedule of two
 // racing pops keeps the opacity oracle clean (2,048 per engine); three pops

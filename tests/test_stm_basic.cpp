@@ -12,6 +12,7 @@
 #include "stm/norec.hpp"
 #include "stm/orec_eager_redo.hpp"
 #include "stm/orec_eager_undo.hpp"
+#include "stm/orec_lazy.hpp"
 #include "stm/orec_table.hpp"
 #include "stm/tml.hpp"
 
@@ -379,17 +380,33 @@ TEST(OrecEagerTest, ReadOnePeriodAwayFromAnOwnedOrecSeesMemory) {
   EXPECT_EQ(total.aborts, 0u);
 }
 
+// The orec table and the clock of one of the three orec engines.
+OrecTable& orecs_of(TxEngine& engine) {
+  if (auto* e = dynamic_cast<OrecEagerRedoEngine*>(&engine)) {
+    return e->orec_table();
+  }
+  if (auto* e = dynamic_cast<OrecEagerUndoEngine*>(&engine)) {
+    return e->orec_table();
+  }
+  return dynamic_cast<OrecLazyEngine&>(engine).orec_table();
+}
+
+std::uint64_t clock_of(const TxEngine& engine) {
+  if (auto* e = dynamic_cast<const OrecEagerRedoEngine*>(&engine)) {
+    return e->clock();
+  }
+  if (auto* e = dynamic_cast<const OrecEagerUndoEngine*>(&engine)) {
+    return e->clock();
+  }
+  return dynamic_cast<const OrecLazyEngine&>(engine).clock();
+}
+
 // The encounter-time engines' RfW: the orec is taken at the read, the
 // read is not logged, and rollback/commit treat the orec as a write lock.
 class RfwEager : public ::testing::TestWithParam<Algo> {
  protected:
   void SetUp() override { engine_ = make_engine(GetParam()); }
-  OrecTable& orecs() {
-    if (auto* e = dynamic_cast<OrecEagerRedoEngine*>(engine_.get())) {
-      return e->orec_table();
-    }
-    return dynamic_cast<OrecEagerUndoEngine&>(*engine_).orec_table();
-  }
+  OrecTable& orecs() { return orecs_of(*engine_); }
   std::unique_ptr<TxEngine> engine_;
   TxThread tx_;
 };
@@ -487,10 +504,139 @@ TEST_P(RfwEager, ForeignLockTimesOutAsWriteLocked) {
   EXPECT_EQ(cell, 8u);
 }
 
+// The orec engines' shared snapshot rules (stm/orec_snapshot.hpp): under
+// GV1 an extension with an empty read log adopts the version it met, and
+// an orec the transaction holds is not read again.
+
+// Two peer commits after a transaction began: the first moves `a`'s orec
+// to a new version v, the second moves the clock past it. Returns v.
+std::uint64_t commit_a_then_b(TxEngine& engine, Word* a, Word* b) {
+  TxThread peer;
+  atomically(engine, peer, [&](TxThread& t) { engine.write(t, a, 5); });
+  atomically(engine, peer, [&](TxThread& t) { engine.write(t, b, 6); });
+  return Orec::version_of(orecs_of(engine).for_address(a).load());
+}
+
+TEST_P(RfwEager, FirstTouchAdoptsTheVersionItMet) {
+  Word a = 1, b = 2;
+  engine_->begin(tx_);
+  const std::uint64_t v = commit_a_then_b(*engine_, &a, &b);
+  ASSERT_EQ(clock_of(*engine_), v + 1);
+  EXPECT_EQ(engine_->read_for_write(tx_, &a), 5u);
+  EXPECT_EQ(tx_.start_time, v);
+  engine_->write(tx_, &a, 7);
+  engine_->commit(tx_);
+  end_common(tx_);
+  EXPECT_EQ(a, 7u);
+  EXPECT_EQ(b, 6u);
+  EXPECT_EQ(clock_of(*engine_), v + 2);
+}
+
+TEST_P(RfwEager, FirstReadAdoptsTheVersionItMet) {
+  Word a = 1, b = 2, c = 3;
+  engine_->begin(tx_);
+  const std::uint64_t v = commit_a_then_b(*engine_, &a, &b);
+  EXPECT_EQ(engine_->read(tx_, &a), 5u);
+  EXPECT_EQ(tx_.start_time, v);
+  engine_->write(tx_, &c, 8);
+  engine_->commit(tx_);
+  end_common(tx_);
+  EXPECT_EQ(a, 5u);
+  EXPECT_EQ(c, 8u);
+}
+
+TEST_P(RfwEager, LoggedReadStillValidatesToTheClock) {
+  Word a = 1, b = 2, c = 3;
+  engine_->begin(tx_);
+  EXPECT_EQ(engine_->read(tx_, &c), 3u);
+  ASSERT_FALSE(tx_.rlog.empty());
+  commit_a_then_b(*engine_, &a, &b);
+  EXPECT_EQ(engine_->read_for_write(tx_, &a), 5u);
+  EXPECT_EQ(tx_.start_time, clock_of(*engine_));
+  engine_->write(tx_, &a, 9);
+  engine_->commit(tx_);
+  end_common(tx_);
+  EXPECT_EQ(a, 9u);
+}
+
+TEST_P(RfwEager, ChangedLoggedReadStillAborts) {
+  Word a = 1, b = 2;
+  engine_->begin(tx_);
+  EXPECT_EQ(engine_->read(tx_, &b), 2u);
+  commit_a_then_b(*engine_, &a, &b);  // b's orec moves past the snapshot
+  ConflictKind kind = ConflictKind::kExplicit;
+  try {
+    engine_->read_for_write(tx_, &a);
+    ADD_FAILURE() << "extension validated a changed read";
+  } catch (const TxConflict& c) {
+    kind = c.kind;
+  }
+  EXPECT_EQ(kind, ConflictKind::kValidationFail);
+  EXPECT_FALSE(tx_.in_tx);
+}
+
+TEST_P(RfwEager, OtherClocksExtendThroughExtensionBound) {
+  // GV5 and GV6 may publish versions ahead of the global clock, so only
+  // GV1 adopts the version it met; the others read the clock through
+  // extension_bound(), which lands on the second peer commit here.
+  for (const ClockPolicy policy :
+       {ClockPolicy::kGv4, ClockPolicy::kGv5, ClockPolicy::kGv6}) {
+    EngineConfig config;
+    config.clock_policy = policy;
+    auto engine = make_engine(GetParam(), config);
+    TxThread tx;
+    Word a = 1, b = 2;
+    engine->begin(tx);
+    const std::uint64_t v = commit_a_then_b(*engine, &a, &b);
+    EXPECT_EQ(engine->read_for_write(tx, &a), 5u) << to_string(policy);
+    EXPECT_GT(tx.start_time, v) << to_string(policy);
+    EXPECT_EQ(tx.start_time, clock_of(*engine)) << to_string(policy);
+    engine->write(tx, &a, 7);
+    engine->commit(tx);
+    end_common(tx);
+    EXPECT_EQ(a, 7u) << to_string(policy);
+  }
+}
+
+TEST_P(RfwEager, WriteAfterRfwKeepsOneLock) {
+  Word a = 1, b = 2;
+  atomically(*engine_, tx_, [&](TxThread& tx) {
+    const Word v = engine_->read_for_write(tx, &a);
+    engine_->write(tx, &a, v + 1);
+    EXPECT_EQ(tx.wlocks.size(), 1u);
+    // An orec taken before the last one is found through its owner word.
+    engine_->write(tx, &b, 4);
+    engine_->write(tx, &a, v + 2);
+    EXPECT_EQ(tx.wlocks.size(), 2u);
+  });
+  EXPECT_EQ(a, 3u);
+  EXPECT_EQ(b, 4u);
+}
+
 INSTANTIATE_TEST_SUITE_P(EncounterTime, RfwEager,
                          ::testing::Values(Algo::kOrecEagerRedo,
                                            Algo::kOrecEagerUndo),
                          [](const auto& info) { return to_string(info.param); });
+
+TEST(OrecLazyTest, EmptyLogReadAdoptsTheVersionItMet) {
+  auto engine = make_engine(Algo::kOrecLazy);
+  TxThread tx;
+  Word a = 1, b = 2, c = 3;
+  engine->begin(tx);
+  const std::uint64_t v = commit_a_then_b(*engine, &a, &b);
+  EXPECT_EQ(engine->read(tx, &a), 5u);
+  EXPECT_EQ(tx.start_time, v);
+  // The read is logged now, so the next extension validates it and moves
+  // the snapshot to the clock.
+  engine->write(tx, &c, 8);
+  TxThread peer;
+  atomically(*engine, peer, [&](TxThread& t) { engine->write(t, &b, 9); });
+  EXPECT_EQ(engine->read(tx, &b), 9u);
+  EXPECT_EQ(tx.start_time, clock_of(*engine));
+  engine->commit(tx);
+  end_common(tx);
+  EXPECT_EQ(c, 8u);
+}
 
 TEST(FactoryTest, EngineNamesMatch) {
   EXPECT_STREQ(make_engine(Algo::kNOrec)->name(), "NOrec");
